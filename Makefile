@@ -1,15 +1,16 @@
 # Developer entry points. `make check` is the gate every change must pass:
 # formatting, vet, build, the full test suite, the race detector over the
 # packages with concurrency (the par worker layer, the parallel tensor/nn
-# kernels, the overlapped core pipeline, the obs collector and the
-# multi-stream serving layer), and a short coverage-guided fuzz pass over
+# kernels, the overlapped core pipeline, the obs collector, the
+# multi-stream serving layer and the experiments harness's suite-level
+# worker pool), and a short coverage-guided fuzz pass over
 # the bitstream decoders.
 
 GO ?= go
-RACE_PKGS := ./internal/par ./internal/core ./internal/tensor ./internal/nn ./internal/obs ./internal/batch ./internal/serve ./internal/contentcache ./internal/shard ./internal/qos ./internal/adapt
+RACE_PKGS := ./internal/par ./internal/core ./internal/tensor ./internal/nn ./internal/obs ./internal/batch ./internal/serve ./internal/contentcache ./internal/shard ./internal/qos ./internal/adapt ./internal/experiments
 FUZZTIME ?= 5s
 
-.PHONY: check fmt-check vet build test race bench suite fuzz-smoke bench-smoke serve-smoke batch-smoke quant-smoke cache-smoke chaos-smoke gate-smoke qos-smoke adapt-smoke
+.PHONY: check fmt-check vet build test race loc bench suite fuzz-smoke bench-smoke serve-smoke batch-smoke quant-smoke cache-smoke chaos-smoke gate-smoke qos-smoke adapt-smoke
 
 check: fmt-check vet build test race fuzz-smoke
 
@@ -27,6 +28,17 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Non-test Go lines (wc -l) per serving-core package, the serving-core
+# total, and everything outside bench/ — the numbers a simplicity PR quotes
+# before and after.
+SERVING_CORE := core segment nn tensor serve batch contentcache qos shard
+loc:
+	@for p in $(SERVING_CORE); do \
+		printf '%-14s %6d\n' $$p $$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
+	done
+	@printf '%-14s %6d\n' serving-core $$(cat $$(ls $(addprefix internal/,$(addsuffix /*.go,$(SERVING_CORE))) | grep -v _test.go) | wc -l)
+	@printf '%-14s %6d\n' all-but-bench $$(cat $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*') | wc -l)
 
 # Short coverage-guided runs of the decoder fuzz targets; regressions the
 # fuzzer has found live in internal/codec/testdata/fuzz and are replayed by

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"vrdann/internal/codec"
 	"vrdann/internal/detect"
+	"vrdann/internal/nn"
 	"vrdann/internal/segment"
 	"vrdann/internal/video"
 )
@@ -287,5 +289,16 @@ func TestPipelineUnderOcclusion(t *testing.T) {
 	_, j := s.Mean()
 	if j < 0.7 {
 		t.Fatalf("occlusion sequence IoU %.3f too low", j)
+	}
+}
+
+func TestWithWorkersOption(t *testing.T) {
+	p := New(segment.NewOracle("oracle", nil, 0, 0, 1), nil, WithWorkers(3))
+	if p.Workers != 3 || p.Refine {
+		t.Fatalf("New misconfigured pipeline: %+v", p)
+	}
+	nns := nn.NewRefineNet(rand.New(rand.NewSource(1)), 4)
+	if q := New(nil, nns); !q.Refine {
+		t.Fatal("New must enable refinement when NN-S is supplied")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -90,7 +89,7 @@ func TestBatchParallelAbortLeaksNoGoroutines(t *testing.T) {
 	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
 	requireNoGoroutineLeak(t, func() {
 		p := &Pipeline{NNL: segment.NewOracle("oracle", v.Masks, 0, 0, 1), NNS: nns, Refine: true, Workers: 4}
-		if _, err := p.runDecoded(context.Background(), bad); err == nil {
+		if _, err := p.segmentDecoded(context.Background(), bad); err == nil {
 			t.Fatal("corrupted reference must error")
 		}
 	})
@@ -121,100 +120,6 @@ func corruptBFrame(t *testing.T, dec *codec.DecodeResult, n, ref int) *codec.Dec
 	}
 	t.Fatalf("stream has fewer than %d motion-carrying B-frames", n+1)
 	return nil
-}
-
-// TestPartialStatsIdenticalSerialParallel pins the satellite contract: when
-// a B-frame fails to reconstruct, the Stats returned alongside the error
-// are the serial decode-order prefix, bit-identical for every worker count
-// — regardless of which worker hit the error first in wall time.
-func TestPartialStatsIdenticalSerialParallel(t *testing.T) {
-	v := makeTestVideo(24, 1.5)
-	stream := encodeTestVideo(t, v)
-	dec, err := codec.Decode(stream, codec.DecodeSideInfo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nB := 0
-	for _, info := range dec.Infos {
-		if info.Type == codec.BFrame && len(info.MVs) > 0 {
-			nB++
-		}
-	}
-	if nB < 3 {
-		t.Fatalf("test stream has only %d usable B-frames", nB)
-	}
-	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
-	cases := []struct {
-		name string
-		fail []int // motion-carrying B-frames (decode order) to corrupt
-	}{
-		{"first-b", []int{0}},
-		{"middle-b", []int{nB / 2}},
-		{"last-b", []int{nB - 1}},
-		{"two-failures-reports-first", []int{1, nB - 1}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			bad := dec
-			for _, f := range tc.fail {
-				bad = corruptBFrame(t, bad, f, 9999)
-			}
-			build := func(workers int) *Pipeline {
-				return &Pipeline{
-					NNL: segment.NewOracle("oracle", v.Masks, 0, 0, 1),
-					NNS: nns, Refine: true, Workers: workers,
-				}
-			}
-			ref, refErr := build(1).runDecoded(context.Background(), bad)
-			if refErr == nil || ref == nil {
-				t.Fatalf("serial: res=%v err=%v, want partial result + error", ref, refErr)
-			}
-			if !strings.Contains(refErr.Error(), "missing reference segmentation") {
-				t.Fatalf("serial error = %v", refErr)
-			}
-			for _, nw := range []int{2, 4, 7} {
-				got, gotErr := build(nw).runDecoded(context.Background(), bad)
-				if gotErr == nil || got == nil {
-					t.Fatalf("workers=%d: res=%v err=%v, want partial result + error", nw, got, gotErr)
-				}
-				if gotErr.Error() != refErr.Error() {
-					t.Fatalf("workers=%d error diverges: %q vs serial %q", nw, gotErr, refErr)
-				}
-				if got.Stats != ref.Stats {
-					t.Fatalf("workers=%d partial Stats diverge:\n got %+v\nwant %+v", nw, got.Stats, ref.Stats)
-				}
-			}
-		})
-	}
-}
-
-// TestPartialStatsDetectionIdentical applies the same contract to the
-// detection form of the pipeline.
-func TestPartialStatsDetectionIdentical(t *testing.T) {
-	v := makeTestVideo(20, 1.2)
-	stream := encodeTestVideo(t, v)
-	dec, err := codec.Decode(stream, codec.DecodeSideInfo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := corruptBFrame(t, dec, 1, 9999)
-	det := &gtBoxDetector{v}
-	ref, refErr := (&Pipeline{}).runDetectionDecoded(context.Background(), bad, det)
-	if refErr == nil || ref == nil {
-		t.Fatalf("serial: res=%v err=%v", ref, refErr)
-	}
-	for _, nw := range []int{2, 4} {
-		got, gotErr := (&Pipeline{Workers: nw}).runDetectionDecoded(context.Background(), bad, det)
-		if gotErr == nil || got == nil {
-			t.Fatalf("workers=%d: res=%v err=%v", nw, got, gotErr)
-		}
-		if gotErr.Error() != refErr.Error() {
-			t.Fatalf("workers=%d error diverges: %q vs %q", nw, gotErr, refErr)
-		}
-		if got.Stats != ref.Stats {
-			t.Fatalf("workers=%d partial Stats diverge:\n got %+v\nwant %+v", nw, got.Stats, ref.Stats)
-		}
-	}
 }
 
 // TestCancelMidRunLeaksNoGoroutines pins the context-cancellation satellite:

@@ -31,6 +31,13 @@ type StepSelector func(codec.FrameInfo) qos.Step
 // (however it was computed — inline, or as one lane of a fused batch)
 // before the next StepPrepare on the same engine. A PendingNN borrows the
 // engine's state and is not safe to retain past Finish.
+//
+// Inside the package, the overlapped driver (StreamEngine.run) relaxes this
+// for B-frame work only: its prev/rec/next (and base) are snapshots nothing
+// mutates afterwards, and the only engine state its Finish touches is the
+// window bookkeeping, which the driver runs in decode order itself. Anchor
+// work can never be deferred — the next frame's reconstruction reads its
+// mask from the reference window.
 type PendingNN struct {
 	e  *StreamEngine
 	mo *MaskOut
@@ -113,7 +120,11 @@ func (pn *PendingNN) Segmenter() segment.Segmenter { return pn.e.p.NNL }
 // with the engine's own models, recording the same nn-l/refine spans as the
 // fused serial loop. StepFunc is built on it; a scheduler uses it as the
 // unbatched fallback.
-func (pn *PendingNN) ExecuteLocal() *video.Mask {
+func (pn *PendingNN) ExecuteLocal() *video.Mask { return pn.execute(pn.e.refiner) }
+
+// execute is ExecuteLocal with the refiner chosen by the caller: the
+// engine's own, or an overlapped worker's private clone.
+func (pn *PendingNN) execute(r *segment.Refiner) *video.Mask {
 	p := pn.e.p
 	if pn.frame != nil {
 		t0 := p.Obs.Clock()
@@ -122,7 +133,7 @@ func (pn *PendingNN) ExecuteLocal() *video.Mask {
 		return m
 	}
 	t1 := p.Obs.Clock()
-	m := pn.e.refiner.Refine(pn.prev, pn.rec, pn.next)
+	m := r.Refine(pn.prev, pn.rec, pn.next)
 	p.Obs.Span(obs.StageRefine, pn.mo.Display, byte(pn.mo.Type), t1)
 	return m
 }
@@ -133,25 +144,32 @@ func (pn *PendingNN) ExecuteLocal() *video.Mask {
 // step would have run it. For residual-skip crops the mask is the refined
 // dirty rectangle, composited here over the full-frame reconstruction.
 func (pn *PendingNN) Finish(mask *video.Mask) *MaskOut {
+	mo := pn.complete(mask)
+	if pn.frame != nil && !pn.reseg {
+		pn.e.segs[mo.Display] = mo.Mask
+	}
+	pn.e.finishStep()
+	return mo
+}
+
+// complete is the half of Finish that touches no engine state: it
+// composites a residual-skip crop and fills in the MaskOut.
+func (pn *PendingNN) complete(mask *video.Mask) *MaskOut {
 	if pn.base != nil {
 		segment.PasteMask(pn.base, mask, pn.cropX, pn.cropY)
 		mask = pn.base
 	}
 	pn.mo.Mask = mask
-	if pn.frame != nil && !pn.reseg {
-		pn.e.segs[pn.mo.Display] = mask
-	}
-	pn.e.finishStep()
 	return pn.mo
 }
 
 // sourceMask consults the pipeline's MaskSource for a frame, if one is
 // configured. Drop-vetoed frames never reach it.
 func (e *StreamEngine) sourceMask(info codec.FrameInfo) *video.Mask {
-	if e.p.MaskSource == nil {
+	if e.source == nil {
 		return nil
 	}
-	return e.p.MaskSource(info.Display, info.Type)
+	return e.source(info.Display, info.Type)
 }
 
 // finishStep is the tail of a step: working-set accounting and reference
@@ -202,7 +220,7 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 		}
 	}
 	p := e.p
-	out, derr := e.dec.Next()
+	out, derr := e.src.Next()
 	if derr != nil {
 		return nil, nil, fmt.Errorf("core: decode: %w", derr)
 	}
@@ -213,6 +231,11 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 	mo = &MaskOut{Display: out.Info.Display, Type: out.Info.Type}
 	switch out.Info.Type {
 	case codec.IFrame, codec.PFrame:
+		if out.Info.Type == codec.IFrame {
+			e.stats.IFrames++
+		} else {
+			e.stats.PFrames++
+		}
 		if m := e.sourceMask(out.Info); m != nil {
 			// Externally supplied anchor mask (content cache hit): NN-L is
 			// skipped, but the mask still enters the reference window exactly
@@ -221,8 +244,10 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 			e.segs[out.Info.Display] = m
 			break
 		}
+		e.stats.NNLRuns++
 		return nil, &PendingNN{e: e, mo: mo, frame: out.Pixels}, nil
 	case codec.BFrame:
+		e.stats.BFrames++
 		step := qos.StepRefine
 		if sel != nil {
 			step = sel(out.Info)
@@ -249,11 +274,19 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 		if rerr != nil {
 			return nil, nil, fmt.Errorf("core: frame %d: %w", out.Info.Display, rerr)
 		}
+		e.stats.MVCount += len(out.Info.MVs)
+		for _, mv := range out.Info.MVs {
+			if mv.BiRef {
+				e.stats.BiRefMVs++
+			}
+		}
+		e.stats.IntraFallbackBlocks += out.Info.Blocks - len(out.Info.MVs)
 		if e.refiner == nil || step == qos.StepRecon {
 			mo.Mask = rec.Binary()
 			break
 		}
 		prev, next := flankingAnchors(e.types, e.segs, out.Info.Display)
+		pn := &PendingNN{e: e, mo: mo, prev: prev, next: next, rec: rec}
 		if p.SkipResidual {
 			rect, dirty, total, known := segment.ResidualDirtyRect(out.Info.BlockEnergy, e.w, e.h, e.cfg.BlockSize, p.SkipThreshold, segment.ResidualHalo)
 			if !known {
@@ -269,16 +302,13 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 				break
 			}
 			if !rect.Full(e.w, e.h) {
-				return nil, &PendingNN{
-					e: e, mo: mo,
-					prev: segment.CropMask(prev, rect),
-					next: segment.CropMask(next, rect),
-					rec:  rec.Crop(rect),
-					base: rec.Binary(), cropX: rect.X0, cropY: rect.Y0,
-				}, nil
+				pn.prev, pn.next = segment.CropMask(prev, rect), segment.CropMask(next, rect)
+				pn.rec = rec.Crop(rect)
+				pn.base, pn.cropX, pn.cropY = rec.Binary(), rect.X0, rect.Y0
 			}
 		}
-		return nil, &PendingNN{e: e, mo: mo, prev: prev, next: next, rec: rec}, nil
+		e.stats.NNSRuns++
+		return nil, pn, nil
 	}
 	e.finishStep()
 	return mo, nil, nil

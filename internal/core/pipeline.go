@@ -44,10 +44,9 @@ type Pipeline struct {
 	SkipThreshold int
 	// Workers selects the execution mode: <= 1 runs the classic serial
 	// decode-order loop; > 1 runs the overlapped pipeline of Sec IV's agent
-	// unit in software — NN-L anchor inference proceeds as its own stage
-	// while B-frame reconstruction + refinement run on Workers goroutines
-	// as soon as their anchor dependencies resolve. Output is bit-identical
-	// either way (see WithWorkers).
+	// unit in software — decoding, reconstruction and NN-L anchor inference
+	// proceed on the caller while B-frame NN-S refinement runs on Workers
+	// goroutines. Output is bit-identical either way (see WithWorkers).
 	Workers int
 	// Obs, when non-nil, collects per-stage latency, queue-depth gauges and
 	// span traces for the run. Nil (the default) costs one pointer check
@@ -60,9 +59,9 @@ type Option func(*Pipeline)
 
 // WithWorkers sets the worker count of the overlapped execution mode.
 // n <= 1 keeps the serial decode-order loop; larger n overlaps B-frame
-// reconstruction and NN-S refinement with NN-L anchor inference on n
-// goroutines. Masks, detections, reconstructions and Stats are
-// bit-identical for every n, so benchmarks can sweep 1..NumCPU freely.
+// NN-S refinement with decoding and NN-L anchor inference on n goroutines.
+// Masks, detections and Stats are bit-identical for every n, so benchmarks
+// can sweep 1..NumCPU freely.
 func WithWorkers(n int) Option {
 	return func(p *Pipeline) { p.Workers = n }
 }
@@ -82,14 +81,6 @@ func New(nnl segment.Segmenter, nns *nn.RefineNet, opts ...Option) *Pipeline {
 	return p
 }
 
-// workers resolves the effective worker count (>= 1).
-func (p *Pipeline) workers() int {
-	if p.Workers < 1 {
-		return 1
-	}
-	return p.Workers
-}
-
 // Stats counts the work the pipeline performed.
 type Stats struct {
 	IFrames, PFrames, BFrames int
@@ -101,8 +92,7 @@ type Stats struct {
 
 // Result is the output of a segmentation run.
 type Result struct {
-	Masks  []*video.Mask              // display order, one per frame
-	Recons map[int]*segment.ReconMask // raw B-frame reconstructions
+	Masks  []*video.Mask // display order, one per frame
 	Decode *codec.DecodeResult
 	Stats  Stats
 }
@@ -127,13 +117,37 @@ func (p *Pipeline) RunSegmentationContext(ctx context.Context, stream []byte) (*
 	if err != nil {
 		return nil, fmt.Errorf("core: decode: %w", err)
 	}
-	return p.runDecoded(ctx, dec)
+	return p.segmentDecoded(ctx, dec)
+}
+
+// segmentDecoded runs segmentation over a decoded stream. Workers <= 1 is
+// the serial oracle runDecoded; Workers > 1 is the overlapped driver over a
+// StreamEngine fed from a cursor, so nothing is decoded twice.
+func (p *Pipeline) segmentDecoded(ctx context.Context, dec *codec.DecodeResult) (*Result, error) {
+	if p.Workers <= 1 {
+		return p.runDecoded(ctx, dec)
+	}
+	res := &Result{Masks: make([]*video.Mask, len(dec.Types)), Decode: dec}
+	var err error
+	res.Stats, err = p.runEngine(ctx, dec, func(mo MaskOut) error {
+		res.Masks[mo.Display] = mo.Mask
+		return nil
+	})
+	return res, err
+}
+
+// runEngine drives a StreamEngine over a decoded stream at the pipeline's
+// worker count and returns the counters the engine accumulated.
+func (p *Pipeline) runEngine(ctx context.Context, dec *codec.DecodeResult, emit func(MaskOut) error) (Stats, error) {
+	e := p.newEngine(&decodedCursor{dec: dec}, dec.Types, dec.Cfg, dec.W, dec.H)
+	_, err := e.run(ctx, p.Workers, emit)
+	return e.stats, err
 }
 
 // refiner builds the NN-S wrapper for one goroutine. The network is cloned
-// whenever it cannot be used in place: always in the parallel paths (layers
-// cache activations), and in serial paths when an observer must be attached
-// without mutating the caller's network.
+// whenever it cannot be used in place: always for an overlapped worker
+// (layers cache activations), and in serial paths when an observer must be
+// attached without mutating the caller's network.
 func (p *Pipeline) refiner(clone bool) *segment.Refiner {
 	if !p.Refine {
 		return nil
@@ -165,8 +179,7 @@ func (p *Pipeline) refiner(clone bool) *segment.Refiner {
 // when enabled: clean frames reuse the MV reconstruction without touching
 // NN-S, partially dirty frames refine only the dirty rectangle (cropped
 // sandwich, pasted back over the reconstruction). The bool reports whether
-// NN-S actually ran. Used identically by the serial and parallel loops, so
-// their outputs stay bit-identical.
+// NN-S actually ran.
 func (p *Pipeline) refineB(r *segment.Refiner, info codec.FrameInfo, rec *segment.ReconMask, prev, next *video.Mask, w, h, blockSize int) (*video.Mask, bool) {
 	if !p.SkipResidual {
 		return r.Refine(prev, rec, next), true
@@ -192,13 +205,13 @@ func (p *Pipeline) refineB(r *segment.Refiner, info codec.FrameInfo, rec *segmen
 	return base, true
 }
 
+// runDecoded is the serial decode-order loop written out in one piece. It
+// deliberately shares no frame-step code with StreamEngine: it is the
+// oracle the differential tests and the benchmark's correctness gate
+// compare every engine-served mask against.
 func (p *Pipeline) runDecoded(ctx context.Context, dec *codec.DecodeResult) (*Result, error) {
-	if p.workers() > 1 {
-		return p.runDecodedParallel(ctx, dec)
-	}
 	res := &Result{
 		Masks:  make([]*video.Mask, len(dec.Types)),
-		Recons: make(map[int]*segment.ReconMask),
 		Decode: dec,
 	}
 	refiner := p.refiner(false)
@@ -229,7 +242,6 @@ func (p *Pipeline) runDecoded(ctx context.Context, dec *codec.DecodeResult) (*Re
 			if err != nil {
 				return res, fmt.Errorf("core: frame %d: %w", d, err)
 			}
-			res.Recons[d] = rec
 			res.Stats.MVCount += len(info.MVs)
 			for _, mv := range info.MVs {
 				if mv.BiRef {
@@ -257,8 +269,8 @@ func (p *Pipeline) runDecoded(ctx context.Context, dec *codec.DecodeResult) (*Re
 
 // FlankingAnchors returns the segmentations of the immediately preceding
 // and following anchor frames available in segs — the sandwich channels of
-// Sec III-A-2. Exposed for callers that re-run refinement on cached
-// reconstructions (e.g. the INT8 deployment study).
+// Sec III-A-2. Exposed for callers that build NN-S inputs outside the
+// pipeline (e.g. the INT8 calibration set).
 func FlankingAnchors(types []codec.FrameType, segs map[int]*video.Mask, d int) (prev, next *video.Mask) {
 	return flankingAnchors(types, segs, d)
 }
@@ -326,46 +338,46 @@ func (p *Pipeline) RunDetectionContext(ctx context.Context, stream []byte, det B
 	if err != nil {
 		return nil, fmt.Errorf("core: decode: %w", err)
 	}
-	return p.runDetectionDecoded(ctx, dec, det)
+	return p.detectDecoded(ctx, dec, det)
 }
 
-func (p *Pipeline) runDetectionDecoded(ctx context.Context, dec *codec.DecodeResult, det BoxDetector) (*DetectionResult, error) {
-	if p.workers() > 1 {
-		return p.runDetectionParallel(ctx, dec, det)
-	}
+// detectDecoded is the segmentation frame step with the detector standing
+// in for NN-L and refinement off: anchors rasterize their boxes into the
+// reference window, B-frames come out as the raw MV reconstruction of those
+// rasters, and bDetection turns each one back into a box as it is emitted.
+func (p *Pipeline) detectDecoded(ctx context.Context, dec *codec.DecodeResult, det BoxDetector) (*DetectionResult, error) {
 	res := &DetectionResult{
 		Detections: make([][]detect.Detection, len(dec.Types)),
 		Decode:     dec,
 	}
-	boxMasks := make(map[int]*video.Mask)
-	scores := make(map[int]float64)
-	for _, d := range dec.Order {
-		if err := ctx.Err(); err != nil {
-			return res, err
+	nnl := &boxSegmenter{det: det, res: res, scores: make([]float64, len(dec.Types))}
+	dp := &Pipeline{NNL: nnl, Workers: p.Workers, Obs: p.Obs}
+	var err error
+	res.Stats, err = dp.runEngine(ctx, dec, func(mo MaskOut) error {
+		if mo.Type == codec.BFrame {
+			res.Detections[mo.Display] = bDetection(dec.Infos[mo.Display], mo.Mask, nnl.scores)
 		}
-		info := dec.Infos[d]
-		if info.Type.IsAnchor() {
-			t0 := p.Obs.Clock()
-			dets := det.Detect(dec.Frames[d], d)
-			p.Obs.Span(obs.StageNNL, d, byte(info.Type), t0)
-			res.Detections[d] = dets
-			res.Stats.NNLRuns++
-			m, s := anchorBoxMask(dets, dec.W, dec.H)
-			boxMasks[d] = m
-			scores[d] = s
-			continue
-		}
-		res.Stats.BFrames++
-		t0 := p.Obs.Clock()
-		dets, err := bDetection(info, boxMasks, scores, dec.W, dec.H, dec.Cfg.BlockSize)
-		p.Obs.Span(obs.StageReconstruct, d, byte(info.Type), t0)
-		if err != nil {
-			return res, fmt.Errorf("core: frame %d: %w", d, err)
-		}
-		res.Stats.MVCount += len(info.MVs)
-		res.Detections[d] = dets
-	}
-	return res, nil
+		return nil
+	})
+	return res, err
+}
+
+// boxSegmenter presents a BoxDetector as the engine's anchor Segmenter: it
+// records the anchor's detections and returns their raster.
+type boxSegmenter struct {
+	det    BoxDetector
+	res    *DetectionResult
+	scores []float64 // best detection score per anchor, by display index
+}
+
+func (b *boxSegmenter) Name() string { return b.det.Name() }
+
+func (b *boxSegmenter) Segment(f *video.Frame, display int) *video.Mask {
+	dets := b.det.Detect(f, display)
+	b.res.Detections[display] = dets
+	m, s := anchorBoxMask(dets, b.res.Decode.W, b.res.Decode.H)
+	b.scores[display] = s
+	return m
 }
 
 // anchorBoxMask rasterizes an anchor frame's detections into the mask the
@@ -382,13 +394,9 @@ func anchorBoxMask(dets []detect.Detection, w, h int) (*video.Mask, float64) {
 	return m, s
 }
 
-// bDetection reconstructs one B-frame's detection from its motion vectors
-// and the propagated anchor box masks (Sec III-B).
-func bDetection(info codec.FrameInfo, boxMasks map[int]*video.Mask, scores map[int]float64, w, h, blockSize int) ([]detect.Detection, error) {
-	rec, err := segment.Reconstruct(info, boxMasks, w, h, blockSize)
-	if err != nil {
-		return nil, err
-	}
+// bDetection turns one B-frame's propagated box mask back into a detection
+// scored by the anchors its motion vectors referenced (Sec III-B).
+func bDetection(info codec.FrameInfo, propagated *video.Mask, scores []float64) []detect.Detection {
 	score := 0.0
 	n := 0
 	for _, mv := range info.MVs {
@@ -403,11 +411,11 @@ func bDetection(info codec.FrameInfo, boxMasks map[int]*video.Mask, scores map[i
 	// Stray blocks whose motion vectors grazed the reference box would
 	// blow up the bounding box; keep only the dominant component and trim
 	// macro-block protrusions from its extent.
-	box := detect.RobustBox(segment.LargestComponent(rec.Binary()), 0.02)
+	box := detect.RobustBox(segment.LargestComponent(propagated), 0.02)
 	if box.Empty() {
-		return nil, nil
+		return nil
 	}
-	return []detect.Detection{{Box: box, Score: score}}, nil
+	return []detect.Detection{{Box: box, Score: score}}
 }
 
 func fillRect(m *video.Mask, r video.Rect) {

@@ -34,51 +34,6 @@ func quantTestNet(t *testing.T, seed int64) (*nn.RefineNet, *nn.QuantRefineNet) 
 	return net, q
 }
 
-// TestResidualSkipBitIdenticalAcrossModes checks the skip path produces the
-// same masks from the serial loop, the parallel loop, and the streaming
-// engine (the serving layer's unit of scheduling).
-func TestResidualSkipBitIdenticalAcrossModes(t *testing.T) {
-	v := makeTestVideo(20, 1.5)
-	stream := encodeTestVideo(t, v)
-	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
-	build := func(workers int) *Pipeline {
-		p := New(segment.NewOracle("oracle", v.Masks, 0.05, 1, 9), nns, WithWorkers(workers))
-		p.SkipResidual = true
-		return p
-	}
-	ref, err := build(1).RunSegmentation(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := build(4).RunSegmentation(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats != ref.Stats {
-		t.Fatalf("stats diverge: got %+v want %+v", got.Stats, ref.Stats)
-	}
-	for d := range ref.Masks {
-		if !maskEqual(got.Masks[d], ref.Masks[d]) {
-			t.Fatalf("workers=4 frame %d mask differs from serial", d)
-		}
-	}
-
-	// Streaming engine (StepPrepare/Finish — the serving path).
-	sp := &StreamingPipeline{
-		NNL: segment.NewOracle("oracle", v.Masks, 0.05, 1, 9), NNS: nns,
-		Refine: true, SkipResidual: true,
-	}
-	masks := make(map[int]*video.Mask)
-	if err := sp.Run(stream, func(mo MaskOut) error { masks[mo.Display] = mo.Mask; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	for d := range ref.Masks {
-		if !maskEqual(masks[d], ref.Masks[d]) {
-			t.Fatalf("streaming frame %d mask differs from serial batch run", d)
-		}
-	}
-}
-
 // TestResidualSkipCountsAndRefinesLess checks the skip actually elides NN-S
 // work on a low-motion stream and the counters record it.
 func TestResidualSkipCountsAndRefinesLess(t *testing.T) {

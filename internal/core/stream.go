@@ -36,10 +36,10 @@ type StreamingPipeline struct {
 	SkipResidual  bool
 	SkipThreshold int
 	// Workers selects the execution mode: <= 1 runs the serial decode loop;
-	// > 1 overlaps B-frame reconstruction + refinement with decoding and
-	// NN-L inference on that many goroutines, with results re-serialized
-	// into decode order. Emitted masks and maxSegs are bit-identical either
-	// way.
+	// > 1 overlaps B-frame NN-S refinement, on that many goroutines, with
+	// decoding, reconstruction and NN-L inference, with results
+	// re-serialized into decode order. Emitted masks and maxSegs are
+	// bit-identical either way.
 	Workers int
 	// MaskSource, when non-nil, is consulted once per non-dropped frame
 	// before any of the frame's NN work, with the frame's display index and
@@ -51,9 +51,8 @@ type StreamingPipeline struct {
 	// would have computed — the serving layer's content-addressed cache
 	// guarantees it by keying on the chunk bytes and the models. The frame's
 	// bitstream is always decoded first regardless (the entropy coder must
-	// advance, and anchor pixels are codec reference state). Consulted by
-	// the serial StreamEngine only; the overlapped parallel runner (Workers
-	// > 1) computes locally, which is slower but identical.
+	// advance, and anchor pixels are codec reference state). Honoured at
+	// every worker count.
 	MaskSource func(display int, t codec.FrameType) *video.Mask
 	// Obs, when non-nil, collects per-stage latency, queue-depth gauges
 	// (job queue, emit queue, busy workers, reference window) and span
@@ -79,8 +78,8 @@ func (p *StreamingPipeline) SetRefineNet(net *nn.RefineNet, quant *nn.QuantRefin
 	p.Quant = quant
 }
 
-// pipeline adapts the streaming configuration to the batch Pipeline so the
-// two forms share the refiner construction rules.
+// pipeline adapts the streaming configuration to the batch Pipeline, the
+// form a StreamEngine holds its models and knobs in.
 func (p *StreamingPipeline) pipeline() *Pipeline {
 	return &Pipeline{
 		NNL: p.NNL, NNS: p.NNS, Quant: p.Quant, Refine: p.Refine,
@@ -117,29 +116,16 @@ func (p *StreamingPipeline) RunInstrumented(stream []byte, emit func(MaskOut) er
 // flight when the context fires are still completed and emitted so the
 // emitted sequence remains a clean decode-order prefix.
 func (p *StreamingPipeline) RunInstrumentedContext(ctx context.Context, stream []byte, emit func(MaskOut) error) (maxSegs int, err error) {
-	if p.Workers > 1 {
-		return p.runInstrumentedParallel(ctx, stream, emit)
-	}
 	dec, err := codec.NewStreamDecoder(stream, codec.DecodeSideInfo)
 	if err != nil {
 		return 0, fmt.Errorf("core: stream decoder: %w", err)
 	}
-	e := p.NewEngine(dec)
-	for {
-		mo, err := e.Step(ctx)
-		if err != nil {
-			return e.MaxSegs(), err
-		}
-		if mo == nil {
-			return e.MaxSegs(), nil
-		}
+	return p.NewEngine(dec).run(ctx, p.Workers, func(mo MaskOut) error {
 		t0 := p.Obs.Clock()
-		err = emit(*mo)
+		err := emit(mo)
 		p.Obs.Span(obs.StageEmit, mo.Display, byte(mo.Type), t0)
-		if err != nil {
-			return e.MaxSegs(), err
-		}
-	}
+		return err
+	})
 }
 
 // segLastUse computes, per anchor display index, the last decode position

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"vrdann/internal/segment"
@@ -122,5 +123,40 @@ func TestStreamingPipelineWithDisplayOrder(t *testing.T) {
 	}
 	if next != 16 {
 		t.Fatalf("emitted %d frames in order", next)
+	}
+}
+
+// TestStreamingParallelEmitErrorAborts pins that a failing emit aborts the
+// overlapped run exactly where it aborts the serial one: same error, same
+// emitted prefix, same working-set maximum through the failing frame.
+func TestStreamingParallelEmitErrorAborts(t *testing.T) {
+	v := makeTestVideo(24, 1.5)
+	stream := encodeTestVideo(t, v)
+	oracle := segment.NewOracle("oracle", v.Masks, 0, 0, 1)
+	boom := errors.New("boom")
+	run := func(workers int) (int, int, error) {
+		n := 0
+		maxSegs, err := (&StreamingPipeline{NNL: oracle, Workers: workers}).RunInstrumented(stream, func(m MaskOut) error {
+			if n == 7 {
+				return fmt.Errorf("frame %d: %w", m.Display, boom)
+			}
+			n++
+			return nil
+		})
+		return maxSegs, n, err
+	}
+	refMax, refN, refErr := run(1)
+	if !errors.Is(refErr, boom) {
+		t.Fatalf("serial: error = %v, want boom", refErr)
+	}
+	gotMax, gotN, gotErr := run(4)
+	if !errors.Is(gotErr, boom) {
+		t.Fatalf("parallel: error = %v, want boom", gotErr)
+	}
+	if gotErr.Error() != refErr.Error() {
+		t.Fatalf("error diverges: %q vs %q", gotErr, refErr)
+	}
+	if gotN != refN || gotMax != refMax {
+		t.Fatalf("parallel emitted %d frames (maxSegs %d), serial %d (%d)", gotN, gotMax, refN, refMax)
 	}
 }

@@ -368,21 +368,22 @@ func (h *Harness) Timeline() (string, error) {
 	return b.String(), nil
 }
 
-// AblationInt8 measures the accuracy cost of deploying NN-S quantized to
-// INT8, which is how the modeled NPU (Table II) executes: weights and
-// activations are fake-quantized with scales calibrated on training
-// sandwiches. Returns suite-average (F, J) for FP32 and INT8 inference.
+// AblationInt8 measures the accuracy cost of deploying NN-S on the int8
+// execution tier, which is how the modeled NPU (Table II) executes: the
+// trained network is compiled with activation grids calibrated on training
+// sandwiches, and the pipeline itself runs it (one Clone per suite worker —
+// the compiled network owns scratch). Returns suite-average (F, J) for FP32
+// and INT8 inference.
 func (h *Harness) AblationInt8() (fp32F, fp32J, int8F, int8J float64, err error) {
 	nns, err := h.NNS()
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	// Calibration inputs: sandwiches from the training sequences.
 	calib, err := h.calibrationSandwiches(4)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	qnet, err := nn.NewInt8RefineNet(nns.Clone(), calib)
+	q, err := nn.NewQuantRefineNet(nns, calib)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -397,29 +398,16 @@ func (h *Harness) AblationInt8() (fp32F, fp32J, int8F, int8J float64, err error)
 			return err
 		}
 		rows[i].ff, rows[i].fj = ScoreMasks(res.Masks, v)
-		// INT8 path: rebuild B-frame masks from the cached reconstructions
-		// through the quantized network.
-		masks := make([]*video.Mask, len(res.Masks))
-		copy(masks, res.Masks)
-		segs := map[int]*video.Mask{}
-		for d, ty := range res.Decode.Types {
-			if ty.IsAnchor() {
-				segs[d] = res.Masks[d]
-			}
+		st, err := h.StreamFor(v, h.Cfg.Enc)
+		if err != nil {
+			return err
 		}
-		for d, rec := range res.Recons {
-			prev, next := core.FlankingAnchors(res.Decode.Types, segs, d)
-			x := segment.Sandwich(prev, rec, next)
-			logits := qnet.Forward(x)
-			m := video.NewMask(rec.W, rec.H)
-			for pi, lv := range logits.Data {
-				if lv > 0 {
-					m.Pix[pi] = 1
-				}
-			}
-			masks[d] = m
+		p := &core.Pipeline{NNL: h.nnlFor(v, "NN-L(FAVOS)", h.Cfg.FAVOSNoise, 3), Quant: q.Clone(), Refine: true, Workers: h.Cfg.PipelineWorkers}
+		qres, err := p.RunSegmentation(st.Data)
+		if err != nil {
+			return err
 		}
-		rows[i].qf, rows[i].qj = ScoreMasks(masks, v)
+		rows[i].qf, rows[i].qj = ScoreMasks(qres.Masks, v)
 		return nil
 	})
 	if err != nil {

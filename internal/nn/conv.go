@@ -23,11 +23,6 @@ type Conv2D struct {
 	// Pooled scratch of the batched inference path (batch.go): the wide
 	// patch matrix and the pre-bias GEMM output, reused across flushes.
 	batchCols, batchMM *tensor.Tensor
-
-	// dq caches the per-channel int8 weights of the dynamic quantized path
-	// (ForwardQuant, quantexec.go). Built lazily on first use; training
-	// after deployment must not follow — the cache pins the weights.
-	dq *dynQuant
 }
 
 // NewConv2D creates a convolution layer with He-initialized weights drawn

@@ -91,104 +91,3 @@ func Dequantize(q []int8, s QuantScale, shape ...int) *tensor.Tensor {
 	}
 	return t
 }
-
-// FakeQuantize rounds a tensor onto its own int8 grid in place, simulating
-// quantized storage while keeping float compute (the standard way to
-// evaluate deployment accuracy).
-func FakeQuantize(t *tensor.Tensor) QuantScale {
-	s := ScaleFor(t)
-	for i, v := range t.Data {
-		t.Data[i] = float32(quantClamp(v, s)) * float32(s)
-	}
-	return s
-}
-
-// QuantizeWeights fake-quantizes every parameter tensor of a network to
-// int8 and returns the per-tensor scales. This is the deployment transform
-// for the INT8 NPU.
-func QuantizeWeights(net Layer) []QuantScale {
-	params := net.Params()
-	scales := make([]QuantScale, len(params))
-	for i, p := range params {
-		scales[i] = FakeQuantize(p)
-	}
-	return scales
-}
-
-// Int8RefineNet runs a RefineNet with int8-quantized weights and
-// activations: weights are fake-quantized once at construction, and every
-// inter-layer activation is fake-quantized against scales calibrated from
-// representative inputs — matching how the INT8 NPU executes NN-S.
-type Int8RefineNet struct {
-	net *RefineNet
-	// actScales[i] is the calibrated scale of activation stage i:
-	// input, conv1 out, conv2 out, concat, logits.
-	actScales []QuantScale
-}
-
-// NewInt8RefineNet quantizes a trained RefineNet using the calibration
-// inputs to fix activation scales. The source network's weights are
-// fake-quantized in place.
-func NewInt8RefineNet(net *RefineNet, calibration []*tensor.Tensor) (*Int8RefineNet, error) {
-	if len(calibration) == 0 {
-		return nil, fmt.Errorf("nn: INT8 calibration requires at least one sample")
-	}
-	QuantizeWeights(net)
-	q := &Int8RefineNet{net: net, actScales: make([]QuantScale, 5)}
-	maxAbs := make([]float32, 5)
-	observe := func(stage int, t *tensor.Tensor) {
-		for _, v := range t.Data {
-			if v < 0 {
-				v = -v
-			}
-			if v > maxAbs[stage] {
-				maxAbs[stage] = v
-			}
-		}
-	}
-	for _, x := range calibration {
-		observe(0, x)
-		skip := net.Relu1.Forward(net.Conv1.Forward(x))
-		observe(1, skip)
-		mid := net.Relu2.Forward(net.Conv2.Forward(net.Down.Forward(skip)))
-		observe(2, mid)
-		cat := ConcatChannels(skip, net.Up.Forward(mid))
-		observe(3, cat)
-		observe(4, net.Conv3.Forward(cat))
-	}
-	for i, m := range maxAbs {
-		if m == 0 {
-			m = 1
-		}
-		q.actScales[i] = QuantScale(m / 127)
-	}
-	return q, nil
-}
-
-// quantizeActivation rounds an activation tensor onto the calibrated grid,
-// clamping to the int8 range like the hardware would.
-func (q *Int8RefineNet) quantizeActivation(stage int, t *tensor.Tensor) *tensor.Tensor {
-	s := float32(q.actScales[stage])
-	out := tensor.New(t.Shape...)
-	for i, v := range t.Data {
-		r := math.Round(float64(v) / float64(s))
-		if r > 127 {
-			r = 127
-		}
-		if r < -127 {
-			r = -127
-		}
-		out.Data[i] = float32(r) * s
-	}
-	return out
-}
-
-// Forward runs INT8-simulated inference and returns the logits.
-func (q *Int8RefineNet) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := q.net
-	x = q.quantizeActivation(0, x)
-	skip := q.quantizeActivation(1, n.Relu1.Forward(n.Conv1.Forward(x)))
-	mid := q.quantizeActivation(2, n.Relu2.Forward(n.Conv2.Forward(n.Down.Forward(skip))))
-	cat := q.quantizeActivation(3, ConcatChannels(skip, n.Up.Forward(mid)))
-	return n.Conv3.Forward(cat)
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"vrdann/internal/tensor"
 )
@@ -33,94 +32,5 @@ func TestQuantizeClampsOutliers(t *testing.T) {
 	q := Quantize(x, 1)
 	if q[0] != 127 || q[1] != -127 {
 		t.Fatalf("clamping failed: %v", q)
-	}
-}
-
-func TestFakeQuantizeIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x := tensor.Randn(rng, 1, 3, 5)
-		FakeQuantize(x)
-		before := x.Clone()
-		FakeQuantize(x)
-		return tensor.AllClose(before, x, 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuantizeWeightsTouchesAllParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	net := NewRefineNet(rng, 4)
-	scales := QuantizeWeights(net)
-	if len(scales) != len(net.Params()) {
-		t.Fatalf("got %d scales for %d params", len(scales), len(net.Params()))
-	}
-	// Every weight must now lie on its int8 grid.
-	for pi, p := range net.Params() {
-		s := float64(scales[pi])
-		for i, v := range p.Data {
-			q := float64(v) / s
-			if math.Abs(q-math.Round(q)) > 1e-4 {
-				t.Fatalf("param %d elem %d (%v) not on the int8 grid", pi, i, v)
-			}
-		}
-	}
-}
-
-func TestInt8RefineNetCloseToFloat(t *testing.T) {
-	// Train a small refiner to reproduce its middle channel, then check the
-	// INT8 deployment agrees with float inference on most pixels.
-	rng := rand.New(rand.NewSource(3))
-	net := NewRefineNet(rng, 4)
-	opt := NewAdam(0.01)
-	sample := func() (*tensor.Tensor, *tensor.Tensor) {
-		x := tensor.New(3, 8, 8)
-		tgt := tensor.New(1, 8, 8)
-		for i := 0; i < 64; i++ {
-			v := float32(rng.Intn(2))
-			x.Data[i], x.Data[64+i], x.Data[128+i] = v, v, v
-			tgt.Data[i] = v
-		}
-		return x, tgt
-	}
-	for step := 0; step < 80; step++ {
-		x, tgt := sample()
-		out := net.Forward(x)
-		_, grad := BCEWithLogits(out, tgt)
-		net.Backward(grad)
-		opt.Step(net.Params(), net.Grads())
-	}
-	var calib []*tensor.Tensor
-	for i := 0; i < 4; i++ {
-		x, _ := sample()
-		calib = append(calib, x)
-	}
-	q, err := NewInt8RefineNet(net, calib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agree, total := 0, 0
-	for trial := 0; trial < 10; trial++ {
-		x, _ := sample()
-		fl := net.Forward(x)
-		qu := q.Forward(x)
-		for i := range fl.Data {
-			total++
-			if (fl.Data[i] > 0) == (qu.Data[i] > 0) {
-				agree++
-			}
-		}
-	}
-	if frac := float64(agree) / float64(total); frac < 0.95 {
-		t.Fatalf("INT8 decision agreement %.3f, want >= 0.95", frac)
-	}
-}
-
-func TestInt8RefineNetRequiresCalibration(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	if _, err := NewInt8RefineNet(NewRefineNet(rng, 4), nil); err == nil {
-		t.Fatal("expected calibration error")
 	}
 }

@@ -282,8 +282,7 @@ func concatChannelsBatchI8(dst, a, b *tensor.I8, n int) {
 // QuantRefineNet is NN-S compiled to the int8 tier: per-channel int8
 // weights, int8 activations on two static grids (input and hidden), int32
 // accumulation, requantize between layers. The float source network is NOT
-// modified (unlike NewInt8RefineNet's in-place fake quantization) so it
-// remains the differential reference.
+// modified, so it remains the differential reference.
 //
 // Scale propagation: the sandwich input quantizes at InScale; conv1+ReLU
 // requantizes onto the shared hidden grid HidScale; pooling and upsampling
@@ -424,85 +423,6 @@ func (q *QuantRefineNet) ForwardBatchQuant(x *tensor.Tensor, items int) *tensor.
 	q.conv3.forwardBatch(cat, items, nil, out)
 	q.obs.Span(obs.StageNNSConv3, -1, obs.KindNone, t)
 	return out
-}
-
-// dynQuant is the dynamically scaled int8 path of a generic Conv2D:
-// per-output-channel int8 weights quantized once, activation scale
-// computed per call. This is how NN-L deploys — it has no fixed
-// calibration set per stream, so each activation tensor brings its own
-// grid.
-type dynQuant struct {
-	w      *tensor.I8 // [outC, inC*kh*kw]
-	wScale []float32  // per-output-channel weight scales
-	qx     *tensor.I8
-	cols   *tensor.I8
-	acc    *tensor.I32
-}
-
-// quantWeights lazily builds (and caches) the per-channel int8 weights.
-func (c *Conv2D) quantWeights() *dynQuant {
-	if c.dq != nil {
-		return c.dq
-	}
-	sz := c.InC * c.KH * c.KW
-	dq := &dynQuant{w: tensor.NewI8(c.OutC, sz), wScale: make([]float32, c.OutC)}
-	for oc := 0; oc < c.OutC; oc++ {
-		row := tensor.FromSlice(c.Weight.Data[oc*sz:(oc+1)*sz], sz)
-		ws := ScaleFor(row)
-		QuantizeInto(dq.w.Data[oc*sz:(oc+1)*sz], row, ws)
-		dq.wScale[oc] = float32(ws)
-	}
-	c.dq = dq
-	return dq
-}
-
-// ForwardQuant runs the convolution in int8 with a dynamic activation
-// scale: the input quantizes against its own range, the GEMM accumulates
-// in int32, and the output dequantizes to float with the bias added —
-// a drop-in int8 replacement for Forward on inference-only deployments.
-// Inference-only: no state for Backward is recorded.
-func (c *Conv2D) ForwardQuant(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 3 || x.Shape[0] != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D.ForwardQuant expects [%d H W] input, got %v", c.InC, x.Shape))
-	}
-	dq := c.quantWeights()
-	h, w := x.Shape[1], x.Shape[2]
-	outH := tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
-	outW := tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
-	rows, oHW := c.InC*c.KH*c.KW, outH*outW
-	sx := ScaleFor(x)
-	qx := ensureI8(&dq.qx, c.InC, h, w)
-	QuantizeInto(qx.Data, x, sx)
-	cols := ensureI8Mat(&dq.cols, rows, oHW)
-	tensor.Im2ColI8Into(cols, qx, c.KH, c.KW, c.Stride, c.Pad)
-	acc := ensureI32Mat(&dq.acc, c.OutC, oHW)
-	tensor.MatMulI8Into(acc, dq.w, cols)
-	out := tensor.New(c.OutC, outH, outW)
-	for oc := 0; oc < c.OutC; oc++ {
-		m := float32(sx) * dq.wScale[oc]
-		b := c.Bias.Data[oc]
-		src := acc.Data[oc*oHW : (oc+1)*oHW]
-		dst := out.Data[oc*oHW : (oc+1)*oHW]
-		for j, v := range src {
-			dst[j] = float32(v)*m + b
-		}
-	}
-	return out
-}
-
-// ForwardQuant runs NN-L with every convolution executing in int8 (dynamic
-// activation scales) and the cheap layers (ReLU, pool, upsample) in float,
-// returning the logits. The accuracy cost relative to Forward is what the
-// INT8 deployment study measures.
-func (f *FCN) ForwardQuant(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range f.Layers {
-		if c, ok := l.(*Conv2D); ok {
-			x = c.ForwardQuant(x)
-		} else {
-			x = l.Forward(x)
-		}
-	}
-	return x
 }
 
 // WeightBytes returns the int8 parameter footprint — here the literal

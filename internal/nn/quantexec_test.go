@@ -185,25 +185,9 @@ func TestQuantRefineNetCloneIndependent(t *testing.T) {
 	}
 }
 
-// TestFCNForwardQuantCloseToFloat checks NN-L's dynamic int8 path agrees
-// with float inference on nearly all mask decisions.
-func TestFCNForwardQuantCloseToFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	fcn := NewFCN(rng, 1, 4)
-	x := tensor.Randn(rng, 1.0, 1, 16, 16)
-	fl := fcn.Forward(x)
-	qu := fcn.ForwardQuant(x)
-	if !fl.SameShape(qu) {
-		t.Fatalf("shape mismatch: %v vs %v", fl.Shape, qu.Shape)
-	}
-	agree := 0
-	for i := range fl.Data {
-		if (fl.Data[i] > 0) == (qu.Data[i] > 0) {
-			agree++
-		}
-	}
-	if frac := float64(agree) / float64(len(fl.Data)); frac < 0.9 {
-		t.Fatalf("FCN int8 decision agreement %.3f, want >= 0.9", frac)
+func TestQuantRefineNetRequiresCalibration(t *testing.T) {
+	if _, err := NewQuantRefineNet(NewRefineNet(rand.New(rand.NewSource(4)), 4), nil); err == nil {
+		t.Fatal("expected calibration error")
 	}
 }
 

@@ -128,8 +128,8 @@ type (
 	PipelineOption = core.Option
 )
 
-// WithWorkers overlaps NN-L anchor inference with B-frame reconstruction
-// and NN-S refinement on n goroutines (the software analog of the paper's
+// WithWorkers overlaps B-frame NN-S refinement, on n goroutines, with
+// decoding and NN-L anchor inference (the software analog of the paper's
 // agent unit); n <= 1 keeps the serial decode-order loop. Results are
 // bit-identical for every n.
 func WithWorkers(n int) PipelineOption { return core.WithWorkers(n) }
