@@ -2,12 +2,12 @@
 # formatting, vet, build, the full test suite, the race detector over the
 # packages with concurrency (the par worker layer, the parallel tensor/nn
 # kernels, the overlapped core pipeline, the obs collector, the
-# multi-stream serving layer and the experiments harness's suite-level
-# worker pool), and a short coverage-guided fuzz pass over
-# the bitstream decoders.
+# multi-stream serving layer, the experiments harness's suite-level worker
+# pool and the benchmark's load drivers), and a short coverage-guided fuzz
+# pass over the bitstream decoders.
 
 GO ?= go
-RACE_PKGS := ./internal/par ./internal/core ./internal/tensor ./internal/nn ./internal/obs ./internal/batch ./internal/serve ./internal/contentcache ./internal/shard ./internal/qos ./internal/adapt ./internal/experiments
+RACE_PKGS := ./internal/par ./internal/core ./internal/tensor ./internal/nn ./internal/obs ./internal/batch ./internal/serve ./internal/contentcache ./internal/shard ./internal/qos ./internal/adapt ./internal/experiments ./bench
 FUZZTIME ?= 5s
 
 .PHONY: check fmt-check vet build test race loc bench suite fuzz-smoke bench-smoke serve-smoke batch-smoke quant-smoke cache-smoke chaos-smoke gate-smoke qos-smoke adapt-smoke
@@ -63,8 +63,8 @@ serve-smoke:
 	$(GO) run ./cmd/vrserve -smoke
 
 # The same self-test with NN-S refinement trained at startup, so the
-# multi-session batched leg fuses both NN-L and NN-S work and checks its
-# masks bit-identical to the unbatched reference.
+# multi-session batched leg has NN-S work to fuse and checks its masks
+# bit-identical to the unbatched reference.
 batch-smoke:
 	$(GO) run ./cmd/vrserve -smoke -refine
 

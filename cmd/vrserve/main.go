@@ -56,7 +56,7 @@ func main() {
 		skipThresh  = flag.Int("skip-threshold", 8, "residual energy above which a block is refined under -quant (0 = skip only bit-exact predictions)")
 		smoke       = flag.Bool("smoke", false, "run the serving self-test and exit")
 		readyFile   = flag.String("ready-file", "", "after binding, write the server's base URL here (multi-process harnesses pass -addr 127.0.0.1:0 and poll this file)")
-		batchSize   = flag.Int("batch", 0, "dynamic batching: fuse up to this many NN items across sessions (<=1 disables)")
+		batchSize   = flag.Int("batch", 0, "dynamic batching: fuse up to this many NN-S refinements across sessions (<=1, or no -refine, disables)")
 		batchWait   = flag.Duration("batch-wait", 0, "partial-batch flush deadline (0 = 2ms default)")
 		cacheMB     = flag.Int64("cache-mb", 0, "shared content-addressed mask cache budget in MiB: sessions serving bit-identical chunks share anchor/B-frame masks (0 disables)")
 		qosMode     = flag.String("qos", "off", "adaptive QoS degradation ladder: on|off. off keeps the pre-ladder binary policy (bit-identical serving); on degrades B-frames full->refine->recon->skip under load, with premium/free session classes (?class= on open)")
@@ -365,8 +365,9 @@ func runSmoke(cfg serve.Config) error {
 	}
 
 	// Leg 4: multi-session dynamic batching — four streams through one
-	// batched server, every mask bit-identical to the leg-1 reference, and
-	// the batch telemetry present in the collector.
+	// batched server, every mask bit-identical to the leg-1 reference, and,
+	// when refinement is on (only NN-S batches), the batch telemetry
+	// present in the collector.
 	bcfg := cfg
 	bcfg.MaxBatch = 4
 	bcfg.Workers = 0 // let the default rise to MaxBatch
@@ -405,12 +406,14 @@ func runSmoke(cfg serve.Config) error {
 	if brep.Admitted != 4 || brep.Frames != 4*2*16 {
 		return fmt.Errorf("batched leg served %d frames over %d streams, want 128 over 4", brep.Frames, brep.Admitted)
 	}
-	bsnap := bcfg.Obs.Snapshot()
-	if bsnap.Counters[obs.CounterBatchItems.String()] == 0 {
-		return fmt.Errorf("batched leg recorded no batch-items counter: %v", bsnap.Counters)
-	}
-	if bsnap.Hist(obs.HistBatchOccupancy.String()) == nil {
-		return fmt.Errorf("batched leg recorded no batch-occupancy histogram")
+	if bcfg.NNS != nil {
+		bsnap := bcfg.Obs.Snapshot()
+		if bsnap.Counters[obs.CounterBatchItems.String()] == 0 {
+			return fmt.Errorf("batched leg recorded no batch-items counter: %v", bsnap.Counters)
+		}
+		if bsnap.Hist(obs.HistBatchOccupancy.String()) == nil {
+			return fmt.Errorf("batched leg recorded no batch-occupancy histogram")
+		}
 	}
 
 	// Leg 5 (only under -quant): the int8 tier with residual-driven

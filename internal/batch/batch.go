@@ -1,22 +1,22 @@
 // Package batch implements the cross-session dynamic batching engine: it
-// coalesces NN work submitted by many concurrent stream sessions into
-// fused batched kernel executions, amortizing per-invocation scheduling
-// and memory traffic the way the paper's agent unit amortizes kernel
-// switches on the accelerator.
+// coalesces NN-S B-frame refinements submitted by many concurrent stream
+// sessions into fused batched forwards, amortizing per-invocation
+// scheduling and memory traffic the way the paper's agent unit amortizes
+// kernel switches on the accelerator.
 //
-// Work is split by kind — NN-L anchor segmentation versus NN-S B-frame
-// refinement — into two independent queues, because fusing across kinds is
-// exactly the kernel switching the agent unit exists to avoid. A queue
-// flushes as ONE batched execution when MaxBatch items are waiting or when
-// the oldest item has waited MaxWait, whichever comes first; a timer flush
-// keeps tail latency bounded when concurrency is low, a full flush keeps
-// throughput high when it is not.
+// Only NN-S is batched. NN-L anchor segmentation runs on the submitting
+// session's own worker: no Segmenter fuses frames into one kernel, so a
+// queue for it bought hops, not GEMM sharing (DESIGN.md §11).
+//
+// The queue flushes as ONE batched execution when MaxBatch items are
+// waiting or when the oldest item has waited MaxWait, whichever comes
+// first; a timer flush keeps tail latency bounded when concurrency is low,
+// a full flush keeps throughput high when it is not.
 //
 // Correctness contract: the mask returned for an item is bit-identical to
-// executing that item alone on the session's own models (the batched
-// kernels guarantee this; see internal/nn/batch.go), and a failing item —
-// panic inside a model, cancelled context — fails alone, never its
-// batch-mates.
+// refining that item alone on the session's own refiner (segment.Refiner
+// guarantees this at any batch size), and a failing item — panic inside
+// the model, cancelled context — fails alone, never its batch-mates.
 package batch
 
 import (
@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vrdann/internal/nn"
 	"vrdann/internal/obs"
 	"vrdann/internal/segment"
 	"vrdann/internal/video"
@@ -48,28 +47,21 @@ type Config struct {
 	// small next to a frame budget, large next to a fused NN-S forward.
 	MaxWait time.Duration
 
-	// NNS, when non-nil, provides the refinement network. The engine clones
-	// it once, so fused refinement uses weights identical to every
-	// session's own clone — the bit-identity contract depends on this.
-	NNS *nn.RefineNet
-
-	// QuantNNS, when non-nil, routes fused NN-S refinement through the int8
-	// execution tier instead of the float NNS (which is then ignored for
-	// refinement). The engine clones it once, like NNS; fused int8 output is
-	// bit-identical to the per-item int8 forward (the integer datapath has
-	// no fusion rounding), so the engine's correctness contract holds on
-	// this tier too.
-	QuantNNS *nn.QuantRefineNet
+	// Refiner is the NN-S executor fused flushes run on. Required. The
+	// engine owns it: pass one built over a private clone of the network
+	// the sessions serve, so fused refinement uses weights identical to
+	// every session's own clone — the bit-identity contract depends on this.
+	Refiner *segment.Refiner
 
 	// Obs, when non-nil, receives batch telemetry: occupancy and queue-depth
 	// histograms, flush-reason counters, and per-item queue-wait spans.
 	Obs *obs.Collector
 
 	// Stalled, when non-nil, is consulted after each enqueue that did not
-	// fill a batch, with the total number of items pending across both
-	// kinds. Returning true means the caller knows no further work can
-	// arrive right now — every producer is already blocked in the engine —
-	// and both queues flush immediately instead of idling out MaxWait.
+	// fill a batch, with the number of items pending. Returning true means
+	// the caller knows no further work can arrive right now — every
+	// producer is already blocked in the engine — and the queue flushes
+	// immediately instead of idling out MaxWait.
 	// Called without engine locks held; it may take the caller's own locks.
 	Stalled func(pending int) bool
 }
@@ -78,49 +70,19 @@ type Config struct {
 // leaves MaxWait unset.
 const DefaultMaxWait = 2 * time.Millisecond
 
-// kind indexes the two work queues.
-type kind int
-
-const (
-	kindNNL kind = iota // anchor segmentation (NN-L)
-	kindNNS             // B-frame refinement (NN-S)
-	numKinds
-)
-
-// item is one queued unit of NN work and its result slot.
+// item is one queued refinement and its result slot.
 type item struct {
-	// NN-L fields.
-	seg     segment.Segmenter
-	frame   *video.Frame
-	display int
-
-	// NN-S fields.
-	prev, next *video.Mask
-	rec        *segment.ReconMask
-
+	job  segment.RefineJob
 	enq  time.Duration // queue-entry timestamp (collector clock)
 	mask *video.Mask
 	err  error
 	done chan struct{}
 }
 
-// queue is one kind's pending work. gen increments every time the pending
-// slice is taken, invalidating any armed timer flush; execMu serializes
-// fused executions of the same kind (the batched kernels reuse per-network
-// scratch and are not reentrant).
-type queue struct {
-	items []*item
-	gen   uint64
-	timer *time.Timer
-
-	execMu sync.Mutex
-}
-
 // Engine is the cross-session dynamic batcher. One engine is shared by all
 // sessions of a server; its methods are safe for concurrent use.
 type Engine struct {
-	cfg     Config
-	refiner *segment.BatchRefiner
+	cfg Config
 
 	// width is the effective flush threshold, runtime-adjustable through
 	// SetMaxBatch within [1, cfg.MaxBatch]. It starts at the configured
@@ -128,14 +90,18 @@ type Engine struct {
 	// before the knob existed.
 	width atomic.Int32
 
-	mu      sync.Mutex
-	queues  [numKinds]queue
-	pending int
-	closed  bool
+	// execMu serializes fused executions: the refiner reuses per-network
+	// scratch and is not reentrant.
+	execMu sync.Mutex
+
+	mu     sync.Mutex
+	items  []*item     // pending work
+	gen    uint64      // increments every time items is taken, invalidating an armed timer
+	timer  *time.Timer // partial-batch flush, armed by the first queued item
+	closed bool
 }
 
-// New creates a batching engine. Cloning the refinement network happens
-// here, once, so every fused flush reuses the same pooled scratch.
+// New creates a batching engine.
 func New(cfg Config) *Engine {
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 1
@@ -145,12 +111,6 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{cfg: cfg}
 	e.width.Store(int32(cfg.MaxBatch))
-	switch {
-	case cfg.QuantNNS != nil:
-		e.refiner = segment.NewQuantBatchRefiner(cfg.QuantNNS.Clone())
-	case cfg.NNS != nil:
-		e.refiner = segment.NewBatchRefiner(cfg.NNS.Clone())
-	}
 	return e
 }
 
@@ -173,12 +133,12 @@ func (e *Engine) SetMaxBatch(n int) {
 // MaxBatch reports the current effective flush threshold.
 func (e *Engine) MaxBatch() int { return int(e.width.Load()) }
 
-// Occupancy reports the engine's fill fraction — items queued across both
-// kinds over the effective batch width, clamped to [0, 1]. One of the QoS
-// controller's load inputs.
+// Occupancy reports the engine's fill fraction — items queued over the
+// effective batch width, clamped to [0, 1]. One of the QoS controller's
+// load inputs.
 func (e *Engine) Occupancy() float64 {
 	e.mu.Lock()
-	p := e.pending
+	p := len(e.items)
 	e.mu.Unlock()
 	w := int(e.width.Load())
 	if w < 1 {
@@ -191,26 +151,12 @@ func (e *Engine) Occupancy() float64 {
 	return occ
 }
 
-// Segment submits one anchor frame for NN-L segmentation and blocks until
-// its batch executes (or ctx is cancelled while the item is still queued).
-func (e *Engine) Segment(ctx context.Context, seg segment.Segmenter, frame *video.Frame, display int) (*video.Mask, error) {
-	return e.submit(ctx, kindNNL, &item{seg: seg, frame: frame, display: display})
-}
-
-// Refine submits one B-frame refinement sandwich for NN-S and blocks until
-// its batch executes (or ctx is cancelled while the item is still queued).
-// It requires the engine to have been built with a refinement network.
-func (e *Engine) Refine(ctx context.Context, prev *video.Mask, rec *segment.ReconMask, next *video.Mask) (*video.Mask, error) {
-	if e.refiner == nil {
-		return nil, errors.New("batch: engine has no refinement network")
-	}
-	return e.submit(ctx, kindNNS, &item{prev: prev, rec: rec, next: next})
-}
-
-// submit enqueues the item, flushes inline when the queue fills, arms the
+// Refine submits one B-frame refinement sandwich and blocks until its batch
+// executes (or ctx is cancelled while the item is still queued). It
+// enqueues the item, flushes inline when the queue fills, arms the
 // partial-batch timer on the first item, then waits for the result.
-func (e *Engine) submit(ctx context.Context, k kind, it *item) (*video.Mask, error) {
-	it.done = make(chan struct{})
+func (e *Engine) Refine(ctx context.Context, prev *video.Mask, rec *segment.ReconMask, next *video.Mask) (*video.Mask, error) {
+	it := &item{job: segment.RefineJob{Prev: prev, Rec: rec, Next: next}, done: make(chan struct{})}
 	o := e.cfg.Obs
 	it.enq = o.Clock()
 
@@ -219,38 +165,37 @@ func (e *Engine) submit(ctx context.Context, k kind, it *item) (*video.Mask, err
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	q := &e.queues[k]
-	q.items = append(q.items, it)
-	e.pending++
-	o.GaugeSet(obs.GaugeBatchQueue, int64(e.pending))
-	o.Observe(obs.HistBatchQueueDepth, int64(len(q.items)))
+	e.items = append(e.items, it)
+	pending := len(e.items)
+	o.GaugeSet(obs.GaugeBatchQueue, int64(pending))
+	o.Observe(obs.HistBatchQueueDepth, int64(pending))
 	var flush []*item
-	pending := e.pending
-	if len(q.items) >= int(e.width.Load()) {
-		flush = e.takeLocked(k)
-	} else if len(q.items) == 1 {
-		gen := q.gen
-		q.timer = time.AfterFunc(e.cfg.MaxWait, func() { e.timerFlush(k, gen) })
+	if pending >= int(e.width.Load()) {
+		flush = e.takeLocked()
+	} else if pending == 1 {
+		gen := e.gen
+		e.timer = time.AfterFunc(e.cfg.MaxWait, func() { e.timerFlush(gen) })
 	}
 	e.mu.Unlock()
 
 	if flush != nil {
 		// The submitter that fills a batch executes it inline: no handoff
 		// goroutine, and exactly one worker is charged for the fused run.
-		e.execute(k, flush, obs.CounterBatchFlushFull)
+		e.execute(flush, obs.CounterBatchFlushFull)
 	} else if e.cfg.Stalled != nil && e.cfg.Stalled(pending) {
 		// Every producer is blocked in the engine: waiting out MaxWait would
-		// only idle the machine. Flush everything now — this is the software
-		// analogue of the agent unit dispatching as soon as its coalescing
-		// window can no longer grow.
-		e.flushAll(obs.CounterBatchFlushStall)
+		// only idle the machine. Flush now — this is the software analogue
+		// of the agent unit dispatching as soon as its coalescing window can
+		// no longer grow. Racing flushes are benign: whatever another flush
+		// already took is simply absent here.
+		e.flush(obs.CounterBatchFlushStall, false)
 	}
 
 	select {
 	case <-it.done:
 		return it.mask, it.err
 	case <-ctx.Done():
-		if e.retract(k, it) {
+		if e.retract(it) {
 			return nil, ctx.Err()
 		}
 		// Already claimed by a flush — the result is imminent; deliver it
@@ -260,189 +205,89 @@ func (e *Engine) submit(ctx context.Context, k kind, it *item) (*video.Mask, err
 	}
 }
 
-// takeLocked removes and returns kind k's pending items, invalidating any
-// armed timer. Caller holds e.mu.
-func (e *Engine) takeLocked(k kind) []*item {
-	q := &e.queues[k]
-	items := q.items
-	q.items = nil
-	q.gen++
-	if q.timer != nil {
-		q.timer.Stop()
-		q.timer = nil
+// takeLocked removes and returns the pending items, invalidating any armed
+// timer. Caller holds e.mu.
+func (e *Engine) takeLocked() []*item {
+	items := e.items
+	e.items = nil
+	e.gen++
+	if e.timer != nil {
+		e.timer.Stop()
+		e.timer = nil
 	}
-	e.pending -= len(items)
-	e.cfg.Obs.GaugeSet(obs.GaugeBatchQueue, int64(e.pending))
+	e.cfg.Obs.GaugeSet(obs.GaugeBatchQueue, 0)
 	return items
 }
 
-// flushAll takes and executes both kinds' queues. Racing flushes are
-// benign: whatever another flush already took is simply absent here, and
-// empty takes execute nothing.
-func (e *Engine) flushAll(reason obs.Counter) {
+// flush takes and executes whatever is queued; with closing set it also
+// fences off every later submission. A no-op on a closed engine.
+func (e *Engine) flush(reason obs.Counter, closing bool) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return
 	}
-	var drains [numKinds][]*item
-	for k := kind(0); k < numKinds; k++ {
-		drains[k] = e.takeLocked(k)
-	}
+	e.closed = closing
+	items := e.takeLocked()
 	e.mu.Unlock()
-	for k := kind(0); k < numKinds; k++ {
-		if len(drains[k]) > 0 {
-			e.execute(k, drains[k], reason)
-		}
+	if len(items) > 0 {
+		e.execute(items, reason)
 	}
 }
 
 // timerFlush executes a partial batch when the oldest item's wait expires.
 // gen guards against the race where the batch filled (or closed) between
 // the timer firing and the lock being acquired.
-func (e *Engine) timerFlush(k kind, gen uint64) {
+func (e *Engine) timerFlush(gen uint64) {
 	e.mu.Lock()
-	q := &e.queues[k]
-	if e.closed || q.gen != gen || len(q.items) == 0 {
+	if e.closed || e.gen != gen || len(e.items) == 0 {
 		e.mu.Unlock()
 		return
 	}
-	items := e.takeLocked(k)
+	items := e.takeLocked()
 	e.mu.Unlock()
-	e.execute(k, items, obs.CounterBatchFlushTimer)
+	e.execute(items, obs.CounterBatchFlushTimer)
 }
 
 // retract removes a still-queued item after its submitter's context was
 // cancelled, so a cancelled session never occupies a lane of a later batch.
-func (e *Engine) retract(k kind, it *item) bool {
+func (e *Engine) retract(it *item) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	q := &e.queues[k]
-	for i, x := range q.items {
+	for i, x := range e.items {
 		if x == it {
-			q.items = append(q.items[:i], q.items[i+1:]...)
-			e.pending--
-			e.cfg.Obs.GaugeSet(obs.GaugeBatchQueue, int64(e.pending))
+			e.items = append(e.items[:i], e.items[i+1:]...)
+			e.cfg.Obs.GaugeSet(obs.GaugeBatchQueue, int64(len(e.items)))
 			return true
 		}
 	}
 	return false
 }
 
-// Close flushes both queues (reason "drain") and rejects all later
+// Close flushes the queue (reason "drain") and rejects all later
 // submissions with ErrClosed. Safe to call more than once.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	var drains [numKinds][]*item
-	for k := kind(0); k < numKinds; k++ {
-		drains[k] = e.takeLocked(k)
-	}
-	e.mu.Unlock()
-	for k := kind(0); k < numKinds; k++ {
-		if len(drains[k]) > 0 {
-			e.execute(k, drains[k], obs.CounterBatchFlushDrain)
-		}
-	}
-}
+func (e *Engine) Close() { e.flush(obs.CounterBatchFlushDrain, true) }
 
-// execute runs one fused batch: telemetry, then the kind's batched kernel,
-// then per-item completion. Per-kind execMu serializes same-kind flushes
-// because the fused kernels reuse network-owned scratch.
-func (e *Engine) execute(k kind, items []*item, reason obs.Counter) {
-	q := &e.queues[k]
-	q.execMu.Lock()
-	defer q.execMu.Unlock()
+// execute runs one fused batch: telemetry, then the refinement — items
+// grouped by frame geometry (streams of different resolutions cannot share
+// a fused forward), each group one RefineBatch — then per-item completion.
+// A panic inside a fused run degrades that group to per-item execution so
+// only the poisoned item fails.
+func (e *Engine) execute(items []*item, reason obs.Counter) {
+	e.execMu.Lock()
+	defer e.execMu.Unlock()
 	o := e.cfg.Obs
 	o.Observe(obs.HistBatchOccupancy, int64(len(items)))
 	o.Count(reason, 1)
 	o.Count(obs.CounterBatchItems, int64(len(items)))
 	for _, it := range items {
-		o.ObserveDur(obs.StageBatchWait, it.display, obs.KindNone, it.enq, o.Clock()-it.enq)
+		o.ObserveDur(obs.StageBatchWait, -1, obs.KindNone, it.enq, o.Clock()-it.enq)
 	}
 	t := o.Clock()
-	if k == kindNNL {
-		e.execNNL(items)
-		o.Span(obs.StageBatchNNL, -1, obs.KindNone, t)
-	} else {
-		e.execNNS(items)
-		o.Span(obs.StageBatchNNS, -1, obs.KindNone, t)
-	}
-	for _, it := range items {
-		close(it.done)
-	}
-}
-
-// execNNL segments the batch's anchor frames. Runs of consecutive items
-// sharing one BatchSegmenter instance go through its fused call; everything
-// else runs per item. Either way a model panic is confined to the items it
-// was actually computing.
-func (e *Engine) execNNL(items []*item) {
 	for i := 0; i < len(items); {
-		bs, ok := items[i].seg.(segment.BatchSegmenter)
-		if !ok {
-			segmentOne(items[i])
-			i++
-			continue
-		}
+		w, h := items[i].job.Rec.W, items[i].job.Rec.H
 		j := i + 1
-		for j < len(items) && items[j].seg == items[i].seg {
-			j++
-		}
-		group := items[i:j]
-		if !segmentGroup(bs, group) {
-			for _, it := range group {
-				segmentOne(it)
-			}
-		}
-		i = j
-	}
-}
-
-// segmentGroup runs one fused SegmentBatch call, reporting false (leaving
-// the group unresolved) if the model panicked.
-func segmentGroup(bs segment.BatchSegmenter, group []*item) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			ok = false
-		}
-	}()
-	frames := make([]*video.Frame, len(group))
-	displays := make([]int, len(group))
-	for i, it := range group {
-		frames[i], displays[i] = it.frame, it.display
-	}
-	masks := bs.SegmentBatch(frames, displays)
-	for i, it := range group {
-		it.mask = masks[i]
-	}
-	return true
-}
-
-// segmentOne runs a single item's NN-L with per-item panic isolation.
-func segmentOne(it *item) {
-	defer func() {
-		if r := recover(); r != nil {
-			it.err = fmt.Errorf("batch: nn-l panic: %v", r)
-		}
-	}()
-	it.mask = it.seg.Segment(it.frame, it.display)
-}
-
-// execNNS refines the batch's B-frames: items are grouped by frame
-// geometry (streams of different resolutions cannot share a fused forward)
-// and each group runs as one fused RefineBatch. A panic inside a fused run
-// degrades that group to per-item execution so only the poisoned item
-// fails.
-func (e *Engine) execNNS(items []*item) {
-	for i := 0; i < len(items); {
-		w, h := items[i].rec.W, items[i].rec.H
-		j := i + 1
-		for j < len(items) && items[j].rec.W == w && items[j].rec.H == h {
+		for j < len(items) && items[j].job.Rec.W == w && items[j].job.Rec.H == h {
 			j++
 		}
 		group := items[i:j]
@@ -452,6 +297,10 @@ func (e *Engine) execNNS(items []*item) {
 			}
 		}
 		i = j
+	}
+	o.Span(obs.StageBatchNNS, -1, obs.KindNone, t)
+	for _, it := range items {
+		close(it.done)
 	}
 }
 
@@ -465,9 +314,9 @@ func (e *Engine) refineGroup(group []*item) (ok bool) {
 	}()
 	jobs := make([]segment.RefineJob, len(group))
 	for i, it := range group {
-		jobs[i] = segment.RefineJob{Prev: it.prev, Rec: it.rec, Next: it.next}
+		jobs[i] = it.job
 	}
-	masks := e.refiner.RefineBatch(jobs)
+	masks := e.cfg.Refiner.RefineBatch(jobs)
 	for i, it := range group {
 		it.mask = masks[i]
 	}
@@ -482,6 +331,5 @@ func (e *Engine) refineOne(it *item) {
 			it.err = fmt.Errorf("batch: nn-s panic: %v", r)
 		}
 	}()
-	masks := e.refiner.RefineBatch([]segment.RefineJob{{Prev: it.prev, Rec: it.rec, Next: it.next}})
-	it.mask = masks[0]
+	it.mask = e.cfg.Refiner.Refine(it.job.Prev, it.job.Rec, it.job.Next)
 }

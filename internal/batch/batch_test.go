@@ -39,7 +39,7 @@ func TestFullFlushFused(t *testing.T) {
 	const n = 4
 	net := newNet(t)
 	col := obs.New()
-	e := New(Config{MaxBatch: n, MaxWait: time.Minute, NNS: net, Obs: col})
+	e := New(Config{MaxBatch: n, MaxWait: time.Minute, Refiner: segment.NewRefiner(net.Clone()), Obs: col})
 	defer e.Close()
 	serial := segment.NewRefiner(net.Clone())
 	rng := rand.New(rand.NewSource(8))
@@ -93,7 +93,7 @@ func TestFullFlushFused(t *testing.T) {
 func TestTimerFlushPartial(t *testing.T) {
 	net := newNet(t)
 	col := obs.New()
-	e := New(Config{MaxBatch: 8, MaxWait: 5 * time.Millisecond, NNS: net, Obs: col})
+	e := New(Config{MaxBatch: 8, MaxWait: 5 * time.Millisecond, Refiner: segment.NewRefiner(net.Clone()), Obs: col})
 	defer e.Close()
 	rng := rand.New(rand.NewSource(1))
 	prev, rec, next := makeRefineInputs(rng, 8, 8)
@@ -112,7 +112,7 @@ func TestTimerFlushPartial(t *testing.T) {
 func TestCloseDrainsAndRejects(t *testing.T) {
 	net := newNet(t)
 	col := obs.New()
-	e := New(Config{MaxBatch: 8, MaxWait: time.Minute, NNS: net, Obs: col})
+	e := New(Config{MaxBatch: 8, MaxWait: time.Minute, Refiner: segment.NewRefiner(net.Clone()), Obs: col})
 	rng := rand.New(rand.NewSource(2))
 	prev, rec, next := makeRefineInputs(rng, 8, 8)
 	var (
@@ -128,7 +128,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	// Wait until the item is actually queued before closing.
 	for {
 		e.mu.Lock()
-		queued := len(e.queues[kindNNS].items) == 1
+		queued := len(e.items) == 1
 		e.mu.Unlock()
 		if queued {
 			break
@@ -158,7 +158,7 @@ func TestStallFlush(t *testing.T) {
 	e := New(Config{
 		MaxBatch: 8,
 		MaxWait:  time.Hour, // the test fails by timeout if stall doesn't flush
-		NNS:      net,
+		Refiner:  segment.NewRefiner(net.Clone()),
 		Obs:      col,
 		Stalled:  func(pending int) bool { return pending >= 2 },
 	})
@@ -206,7 +206,7 @@ func TestStallFlush(t *testing.T) {
 // queue (and does not occupy a lane of a later batch).
 func TestCancelRetractsQueuedItem(t *testing.T) {
 	net := newNet(t)
-	e := New(Config{MaxBatch: 8, MaxWait: time.Hour, NNS: net})
+	e := New(Config{MaxBatch: 8, MaxWait: time.Hour, Refiner: segment.NewRefiner(net.Clone())})
 	defer e.Close()
 	rng := rand.New(rand.NewSource(3))
 	prev, rec, next := makeRefineInputs(rng, 8, 8)
@@ -216,62 +216,42 @@ func TestCancelRetractsQueuedItem(t *testing.T) {
 		t.Fatalf("cancelled refine error = %v, want context.Canceled", err)
 	}
 	e.mu.Lock()
-	left := len(e.queues[kindNNS].items)
+	left := len(e.items)
 	e.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d items left queued after retraction", left)
 	}
 }
 
-// stripeSegmenter is a deterministic model-free segmenter: pixel p is
-// foreground when (p+display) is even.
-type stripeSegmenter struct{}
-
-func (stripeSegmenter) Name() string { return "stripe" }
-func (stripeSegmenter) Segment(f *video.Frame, display int) *video.Mask {
-	m := video.NewMask(f.W, f.H)
-	for p := range m.Pix {
-		m.Pix[p] = uint8((p + display) & 1)
-	}
-	return m
-}
-
-// panicSegmenter panics on one display and segments the rest.
-type panicSegmenter struct {
-	inner  segment.Segmenter
-	poison int
-}
-
-func (p *panicSegmenter) Name() string { return "panic" }
-func (p *panicSegmenter) Segment(f *video.Frame, display int) *video.Mask {
-	if display == p.poison {
-		panic("poisoned frame")
-	}
-	return p.inner.Segment(f, display)
-}
-
 // TestPanicFailsAlone pins the fault-isolation contract: a model panic on
-// one batch lane errors that item only; its batch-mates' masks are
-// untouched and identical to serial execution.
+// one batch lane (a sandwich with no preceding anchor mask faults inside
+// the fused forward's input packing) errors that item only; its
+// batch-mates' masks are untouched and identical to serial execution.
 func TestPanicFailsAlone(t *testing.T) {
-	inner := stripeSegmenter{}
-	seg := &panicSegmenter{inner: inner, poison: 1}
-	e := New(Config{MaxBatch: 3, MaxWait: time.Minute})
+	const n, poison = 3, 1
+	net := newNet(t)
+	e := New(Config{MaxBatch: n, MaxWait: time.Minute, Refiner: segment.NewRefiner(net.Clone())})
 	defer e.Close()
-	frame := video.NewFrame(16, 8)
-	results := make([]*video.Mask, 3)
-	errs := make([]error, 3)
+	serial := segment.NewRefiner(net.Clone())
+	rng := rand.New(rand.NewSource(9))
+	jobs := make([]segment.RefineJob, n)
+	for i := range jobs {
+		jobs[i].Prev, jobs[i].Rec, jobs[i].Next = makeRefineInputs(rng, 16, 8)
+	}
+	jobs[poison].Prev = nil
+	results := make([]*video.Mask, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	for i := range jobs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = e.Segment(context.Background(), seg, frame, i)
+			results[i], errs[i] = e.Refine(context.Background(), jobs[i].Prev, jobs[i].Rec, jobs[i].Next)
 		}(i)
 	}
 	wg.Wait()
-	for i := 0; i < 3; i++ {
-		if i == 1 {
+	for i, j := range jobs {
+		if i == poison {
 			if errs[i] == nil {
 				t.Fatalf("poisoned item %d returned no error", i)
 			}
@@ -280,7 +260,7 @@ func TestPanicFailsAlone(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("batch-mate %d failed: %v", i, errs[i])
 		}
-		want := inner.Segment(frame, i)
+		want := serial.Refine(j.Prev, j.Rec, j.Next)
 		for p := range want.Pix {
 			if results[i].Pix[p] != want.Pix[p] {
 				t.Fatalf("batch-mate %d pixel %d differs from serial", i, p)
@@ -293,7 +273,7 @@ func TestPanicFailsAlone(t *testing.T) {
 // into one flush and checks both groups come back correct.
 func TestMixedGeometryGroups(t *testing.T) {
 	net := newNet(t)
-	e := New(Config{MaxBatch: 4, MaxWait: time.Minute, NNS: net})
+	e := New(Config{MaxBatch: 4, MaxWait: time.Minute, Refiner: segment.NewRefiner(net.Clone())})
 	defer e.Close()
 	serial := segment.NewRefiner(net.Clone())
 	rng := rand.New(rand.NewSource(5))
@@ -325,45 +305,6 @@ func TestMixedGeometryGroups(t *testing.T) {
 		for p := range r.want.Pix {
 			if r.m.Pix[p] != r.want.Pix[p] {
 				t.Fatalf("job %d pixel %d differs across geometry grouping", i, p)
-			}
-		}
-	}
-}
-
-// TestBatchSegmenterGrouping checks that consecutive items sharing one
-// BatchSegmenter go through its fused call and still match serial output.
-func TestBatchSegmenterGrouping(t *testing.T) {
-	seg := &segment.ThresholdSegmenter{CloseRadius: 1}
-	e := New(Config{MaxBatch: 3, MaxWait: time.Minute})
-	defer e.Close()
-	rng := rand.New(rand.NewSource(6))
-	frames := make([]*video.Frame, 3)
-	for i := range frames {
-		frames[i] = video.NewFrame(16, 12)
-		for p := range frames[i].Pix {
-			frames[i].Pix[p] = uint8(rng.Intn(256))
-		}
-	}
-	results := make([]*video.Mask, 3)
-	var wg sync.WaitGroup
-	for i := range frames {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m, err := e.Segment(context.Background(), seg, frames[i], i)
-			if err != nil {
-				t.Errorf("segment %d: %v", i, err)
-				return
-			}
-			results[i] = m
-		}(i)
-	}
-	wg.Wait()
-	for i, f := range frames {
-		want := seg.Segment(f, i)
-		for p := range want.Pix {
-			if results[i].Pix[p] != want.Pix[p] {
-				t.Fatalf("frame %d pixel %d differs from serial", i, p)
 			}
 		}
 	}

@@ -75,6 +75,11 @@ func (p *StreamingPipeline) NewEngine(dec *codec.StreamDecoder) *StreamEngine {
 	return e
 }
 
+// NewRefiner builds the NN-S executor this pipeline's engines refine with,
+// over a private clone of the network, for a consumer that refines outside
+// an engine (the serving layer's batcher). Nil when refinement is off.
+func (p *StreamingPipeline) NewRefiner() *segment.Refiner { return p.pipeline().refiner(true) }
+
 // newEngine builds an engine over any frame source of the given layout.
 func (p *Pipeline) newEngine(src frameSource, types []codec.FrameType, cfg codec.Config, w, h int) *StreamEngine {
 	return &StreamEngine{

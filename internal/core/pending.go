@@ -52,9 +52,6 @@ type PendingNN struct {
 	// pruning schedule only tracks anchor displays, and later frames'
 	// bit-identity contract is anchored on anchor-only references.
 	reseg bool
-	// info is retained for reseg work so a deadline retraction can fall
-	// back to the MV reconstruction without re-decoding.
-	info codec.FrameInfo
 
 	// B-frame work: the refinement sandwich inputs (nil for anchors). When
 	// the residual skip cropped the frame, these are the dirty-rect crops.
@@ -73,28 +70,17 @@ type PendingNN struct {
 // B-frames promoted to the ladder's full rung.
 func (pn *PendingNN) IsAnchor() bool { return pn.frame != nil }
 
-// Retractable reports whether the work may be degraded after the fact (a
-// deadline overrun while queued in a batcher): all B-frame work is, true
-// anchors are not — their segmentations are references later frames need.
-func (pn *PendingNN) Retractable() bool { return pn.frame == nil || pn.reseg }
-
-// FallbackMask computes the ladder's next-cheaper result for retractable
-// work without running the pending network: the raw MV reconstruction (for
-// residual-skip crops, the full-frame base the refined crop would have been
-// composited over). It returns nil for non-retractable work, or if the
-// reconstruction itself fails.
+// FallbackMask computes the ladder's next-cheaper result for NN-S work
+// without running the network (a deadline overrun while queued in a
+// batcher): the raw MV reconstruction — for residual-skip crops, the
+// full-frame base the refined crop would have been composited over. It
+// returns nil for NN-L work, which is never degraded after the fact.
 func (pn *PendingNN) FallbackMask() *video.Mask {
 	switch {
 	case pn.base != nil:
 		return pn.base
 	case pn.rec != nil:
 		return pn.rec.Binary()
-	case pn.reseg:
-		rec, err := segment.Reconstruct(pn.info, pn.e.segs, pn.e.w, pn.e.h, pn.e.cfg.BlockSize)
-		if err != nil {
-			return nil
-		}
-		return rec.Binary()
 	}
 	return nil
 }
@@ -112,9 +98,6 @@ func (pn *PendingNN) Frame() *video.Frame { return pn.frame }
 func (pn *PendingNN) RefineInputs() (prev *video.Mask, rec *segment.ReconMask, next *video.Mask) {
 	return pn.prev, pn.rec, pn.next
 }
-
-// Segmenter returns the stream's NN-L model.
-func (pn *PendingNN) Segmenter() segment.Segmenter { return pn.e.p.NNL }
 
 // ExecuteLocal computes the pending mask inline on the caller's goroutine
 // with the engine's own models, recording the same nn-l/refine spans as the
@@ -258,7 +241,7 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 		if step == qos.StepFull && out.Pixels != nil {
 			// Ladder top rung: the B-frame is re-segmented by NN-L as if it
 			// were an anchor, but reseg keeps it out of the reference window.
-			return nil, &PendingNN{e: e, mo: mo, frame: out.Pixels, reseg: true, info: out.Info}, nil
+			return nil, &PendingNN{e: e, mo: mo, frame: out.Pixels, reseg: true}, nil
 		}
 		if step == qos.StepRefine {
 			if m := e.sourceMask(out.Info); m != nil {

@@ -144,10 +144,11 @@ func (p *Pipeline) runEngine(ctx context.Context, dec *codec.DecodeResult, emit 
 	return e.stats, err
 }
 
-// refiner builds the NN-S wrapper for one goroutine. The network is cloned
-// whenever it cannot be used in place: always for an overlapped worker
-// (layers cache activations), and in serial paths when an observer must be
-// attached without mutating the caller's network.
+// refiner builds the NN-S executor for one goroutine, and is the one place
+// the pipeline chooses between the float and int8 tiers. The network is
+// cloned whenever it cannot be used in place: always for an overlapped
+// worker (a forward writes per-instance scratch), and in serial paths when
+// an observer must be attached without mutating the caller's network.
 func (p *Pipeline) refiner(clone bool) *segment.Refiner {
 	if !p.Refine {
 		return nil

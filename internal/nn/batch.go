@@ -25,33 +25,45 @@ import (
 //     column's dot product), and every other layer is element- or
 //     channel-local. A batched forward is therefore bitwise equal to n
 //     serial forwards at any batch size.
-//  2. No steady-state allocation. All intermediates live in pooled scratch
-//     buffers (par.GetFloats) owned by the network instance and reused
-//     across flushes — the per-frame ~1.6 MB of garbage the serial forward
-//     allocates is what the batched path exists to eliminate.
+//  2. No steady-state allocation. All intermediates live in scratch
+//     buffers owned by the network instance and reused across calls — the
+//     per-frame ~1.6 MB of garbage the training forward allocates is what
+//     this path exists to eliminate.
 //
 // Batched forwards are inference-only (no activation caches for Backward)
-// and, like the serial path, not safe for concurrent use of one instance.
+// and not safe for concurrent use of one instance. The channel-local
+// layers and the scratch helper are generic over the element type, so the
+// float network here and the int8 network in quantexec.go share them.
 
-// ensureBatch returns a tensor of the given shape backed by pooled memory,
-// reusing *t in place when its backing size already matches (only the
-// shape header is rebuilt). Contents are arbitrary; every user overwrites
-// all elements.
-func ensureBatch(t **tensor.Tensor, shape ...int) *tensor.Tensor {
+// ensure returns *t as a tensor of the given shape, reusing its backing
+// array and shape header in place when the element count already matches,
+// so a steady-state call allocates nothing (dims does not escape: its
+// values are copied into the header). S is any of tensor.Tensor, tensor.I8
+// and tensor.I32 — they share one struct layout, which is all the
+// constraint says. Contents are arbitrary; every user overwrites all
+// elements.
+func ensure[T float32 | int8 | int32, S ~struct {
+	Shape []int
+	Data  []T
+}](t **S, dims ...int) *S {
 	numel := 1
-	for _, d := range shape {
+	for _, d := range dims {
 		numel *= d
 	}
-	if *t != nil && len((*t).Data) == numel {
-		// Rebuild the shape header in place: allocation-free, and the data
-		// (which every user overwrites) is untouched.
-		(*t).Shape = append((*t).Shape[:0], shape...)
-		return *t
+	if *t == nil {
+		*t = new(S)
 	}
-	if *t != nil {
-		par.PutFloats((*t).Data)
+	// Field access through a type parameter is not allowed; a value
+	// conversion to the common layout (two slice headers) is.
+	v := struct {
+		Shape []int
+		Data  []T
+	}(**t)
+	if len(v.Data) != numel {
+		v.Data = make([]T, numel)
 	}
-	*t = tensor.FromSlice(par.GetFloats(numel), shape...)
+	v.Shape = append(v.Shape[:0], dims...)
+	**t = S(v)
 	return *t
 }
 
@@ -72,16 +84,21 @@ func (c *Conv2D) ForwardBatch(x *tensor.Tensor, n int) *tensor.Tensor {
 
 // forwardBatchInto is ForwardBatch writing into a caller-owned
 // [n*OutC, outH, outW] tensor, with the patch matrix and GEMM output held
-// in the layer's pooled scratch.
+// in the layer's scratch.
 func (c *Conv2D) forwardBatchInto(dst, x *tensor.Tensor, n int) {
 	h, w := x.Shape[1], x.Shape[2]
 	outH := tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
 	outW := tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
 	rows, oHW := c.InC*c.KH*c.KW, outH*outW
-	cols := ensureBatch(&c.batchCols, rows, n*oHW)
+	cols := ensure(&c.batchCols, rows, n*oHW)
 	tensor.Im2ColBatchInto(cols, x, n, c.KH, c.KW, c.Stride, c.Pad)
-	mm := ensureBatch(&c.batchMM, c.OutC, n*oHW)
-	tensor.MatMulInto(mm, c.Weight.Reshape(c.OutC, rows), cols)
+	mm := ensure(&c.batchMM, c.OutC, n*oHW)
+	// A 2-D view of the live weights, rebuilt in place per call: Reshape
+	// would allocate a header, a cached view would go stale when training
+	// or LoadParams replaces c.Weight.
+	w2d := &c.batchW
+	w2d.Data, w2d.Shape = c.Weight.Data, append(w2d.Shape[:0], c.OutC, rows)
+	tensor.MatMulInto(mm, w2d, cols)
 	// The wide GEMM leaves the batch in [OutC, n*oHW] (output-channel-major)
 	// layout; re-pack item-major so the next layer sees each item's channels
 	// contiguously, fusing the bias add (one add per element, exactly as the
@@ -111,66 +128,90 @@ func reluInPlace(x *tensor.Tensor) {
 	}
 }
 
-// maxPool2Batch is MaxPool2.Forward over a wide batch tensor, minus the
-// argmax cache (inference-only). Pooling is channel-local, so the packed
-// [n*C, H, W] layout needs no special handling.
-func maxPool2Batch(dst, x *tensor.Tensor) {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+// maxPool2Batch is 2×2 max pooling over a wide [c, h, w] batch tensor,
+// minus MaxPool2.Forward's argmax cache (inference-only). Pooling is
+// channel-local, so the packed [n*C, H, W] layout needs no special
+// handling, and max is order-preserving, so on the int8 tier it commutes
+// with quantization and needs no rescale.
+func maxPool2Batch[T float32 | int8](dst, x []T, c, h, w int) {
+	// Serial fast path BEFORE the closure literal: the parallel closure is
+	// heap-allocated at its creation site, which would break the batched
+	// path's zero-steady-state-allocation guarantee on small inputs.
+	grain := par.Grain(c, h*w, par.MinWorkFloats)
+	if grain >= c || par.MaxWorkers() == 1 {
+		maxPool2Rows(dst, x, h, w, 0, c)
+		return
+	}
+	par.For(c, grain, func(clo, chi int) {
+		maxPool2Rows(dst, x, h, w, clo, chi)
+	})
+}
+
+func maxPool2Rows[T float32 | int8](dst, x []T, h, w, clo, chi int) {
 	oh, ow := h/2, w/2
-	par.For(c, par.Grain(c, h*w, par.MinWorkFloats), func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					base := (ch*h+oy*2)*w + ox*2
-					best := x.Data[base]
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							if v := x.Data[base+dy*w+dx]; v > best {
-								best = v
-							}
+	for ch := clo; ch < chi; ch++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				base := (ch*h+oy*2)*w + ox*2
+				best := x[base]
+				for dy := 0; dy < 2; dy++ {
+					for dx := 0; dx < 2; dx++ {
+						if v := x[base+dy*w+dx]; v > best {
+							best = v
 						}
 					}
-					dst.Data[(ch*oh+oy)*ow+ox] = best
 				}
+				dst[(ch*oh+oy)*ow+ox] = best
 			}
 		}
-	})
-}
-
-// upsample2Batch is Upsample2.Forward (nearest-neighbor ×2) over a wide
-// batch tensor; like pooling it is channel-local.
-func upsample2Batch(dst, x *tensor.Tensor) {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	par.For(c, par.Grain(c, 4*h*w, par.MinWorkFloats), func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			for y := 0; y < h; y++ {
-				srcRow := (ch*h + y) * w
-				for x2 := 0; x2 < w; x2++ {
-					v := x.Data[srcRow+x2]
-					d0 := (ch*h*2+y*2)*w*2 + x2*2
-					d1 := d0 + w*2
-					dst.Data[d0] = v
-					dst.Data[d0+1] = v
-					dst.Data[d1] = v
-					dst.Data[d1+1] = v
-				}
-			}
-		}
-	})
-}
-
-// concatChannelsBatch interleaves two item-major batch tensors along the
-// channel axis: item i of dst is ConcatChannels(item i of a, item i of b).
-func concatChannelsBatch(dst, a, b *tensor.Tensor, n int) {
-	ca, cb := a.Shape[0]/n, b.Shape[0]/n
-	hw := a.Shape[1] * a.Shape[2]
-	for i := 0; i < n; i++ {
-		copy(dst.Data[i*(ca+cb)*hw:], a.Data[i*ca*hw:(i+1)*ca*hw])
-		copy(dst.Data[(i*(ca+cb)+ca)*hw:], b.Data[i*cb*hw:(i+1)*cb*hw])
 	}
 }
 
-// batchScratch holds the pooled activation buffers of RefineNet.ForwardBatch.
+// upsample2Batch is nearest-neighbor ×2 upsampling of a wide [c, h, w]
+// batch tensor into [c, 2h, 2w]; channel-local and value-preserving, so no
+// rescale on the int8 tier.
+func upsample2Batch[T float32 | int8](dst, x []T, c, h, w int) {
+	// Serial fast path before the closure literal, as in maxPool2Batch.
+	grain := par.Grain(c, 4*h*w, par.MinWorkFloats)
+	if grain >= c || par.MaxWorkers() == 1 {
+		upsample2Rows(dst, x, h, w, 0, c)
+		return
+	}
+	par.For(c, grain, func(clo, chi int) {
+		upsample2Rows(dst, x, h, w, clo, chi)
+	})
+}
+
+func upsample2Rows[T float32 | int8](dst, x []T, h, w, clo, chi int) {
+	for ch := clo; ch < chi; ch++ {
+		for y := 0; y < h; y++ {
+			srcRow := (ch*h + y) * w
+			for x2 := 0; x2 < w; x2++ {
+				v := x[srcRow+x2]
+				d0 := (ch*h*2+y*2)*w*2 + x2*2
+				d1 := d0 + w*2
+				dst[d0] = v
+				dst[d0+1] = v
+				dst[d1] = v
+				dst[d1+1] = v
+			}
+		}
+	}
+}
+
+// concatChannelsBatch interleaves two item-major batch tensors of ca and cb
+// channels per item (hw elements each) along the channel axis: item i of
+// dst is ConcatChannels(item i of a, item i of b). On the int8 tier both
+// operands must share one quantization scale — QuantRefineNet keeps skip
+// and upsampled mid on the same hidden grid for exactly this reason.
+func concatChannelsBatch[T float32 | int8](dst, a, b []T, n, ca, cb, hw int) {
+	for i := 0; i < n; i++ {
+		copy(dst[i*(ca+cb)*hw:], a[i*ca*hw:(i+1)*ca*hw])
+		copy(dst[(i*(ca+cb)+ca)*hw:], b[i*cb*hw:(i+1)*cb*hw])
+	}
+}
+
+// batchScratch holds the activation buffers of RefineNet.ForwardBatch.
 type batchScratch struct {
 	skip, down, mid, up, cat, out *tensor.Tensor
 }
@@ -191,23 +232,23 @@ func (n *RefineNet) ForwardBatch(x *tensor.Tensor, items int) *tensor.Tensor {
 	f := n.Features
 	sc := &n.bsc
 	t := n.obs.Clock()
-	skip := ensureBatch(&sc.skip, items*f, h, w)
+	skip := ensure(&sc.skip, items*f, h, w)
 	n.Conv1.forwardBatchInto(skip, x, items)
 	n.obs.Span(obs.StageNNSConv1, -1, obs.KindNone, t)
 	reluInPlace(skip) // in place: conv1's raw output is never read again
-	down := ensureBatch(&sc.down, items*f, h/2, w/2)
-	maxPool2Batch(down, skip)
+	down := ensure(&sc.down, items*f, h/2, w/2)
+	maxPool2Batch(down.Data, skip.Data, items*f, h, w)
 	t = n.obs.Clock()
-	mid := ensureBatch(&sc.mid, items*f, h/2, w/2)
+	mid := ensure(&sc.mid, items*f, h/2, w/2)
 	n.Conv2.forwardBatchInto(mid, down, items)
 	n.obs.Span(obs.StageNNSConv2, -1, obs.KindNone, t)
 	reluInPlace(mid)
-	up := ensureBatch(&sc.up, items*f, h, w)
-	upsample2Batch(up, mid)
-	cat := ensureBatch(&sc.cat, items*2*f, h, w)
-	concatChannelsBatch(cat, skip, up, items)
+	up := ensure(&sc.up, items*f, h, w)
+	upsample2Batch(up.Data, mid.Data, items*f, h/2, w/2)
+	cat := ensure(&sc.cat, items*2*f, h, w)
+	concatChannelsBatch(cat.Data, skip.Data, up.Data, items, f, f, h*w)
 	t = n.obs.Clock()
-	out := ensureBatch(&sc.out, items, h, w)
+	out := ensure(&sc.out, items, h, w)
 	n.Conv3.forwardBatchInto(out, cat, items)
 	n.obs.Span(obs.StageNNSConv3, -1, obs.KindNone, t)
 	return out

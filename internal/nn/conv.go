@@ -20,9 +20,11 @@ type Conv2D struct {
 	lastInH, lastW int
 	macs           int64
 
-	// Pooled scratch of the batched inference path (batch.go): the wide
-	// patch matrix and the pre-bias GEMM output, reused across flushes.
+	// Scratch of the batched inference path (batch.go), reused across
+	// calls: the wide patch matrix, the pre-bias GEMM output, and the
+	// header of the 2-D weight view.
 	batchCols, batchMM *tensor.Tensor
+	batchW             tensor.Tensor
 }
 
 // NewConv2D creates a convolution layer with He-initialized weights drawn

@@ -31,7 +31,7 @@ type RefineNet struct {
 	skipChannels int
 	macs         int64
 
-	// bsc holds the pooled activation scratch of ForwardBatch (batch.go).
+	// bsc holds the activation scratch of ForwardBatch (batch.go).
 	bsc batchScratch
 
 	// obs, when non-nil, receives per-layer convolution timings (the
@@ -69,6 +69,8 @@ func NewRefineNet(rng *rand.Rand, features int) *RefineNet {
 
 // Forward runs the network on a [3,H,W] sandwich input and returns [1,H,W]
 // logits. H and W must be even (macro-block-aligned frames always are).
+// It is the training forward: every layer caches its activations for
+// Backward and allocates its output. Inference runs ForwardBatch.
 func (n *RefineNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 	t := n.obs.Clock()
 	c1 := n.Conv1.Forward(x)
@@ -135,9 +137,9 @@ func (n *RefineNet) WeightBytes() int64 {
 	return n.Conv1.WeightBytes() + n.Conv2.WeightBytes() + n.Conv3.WeightBytes()
 }
 
-// Clone returns an independent copy sharing no state: layers cache
-// forward-pass activations, so concurrent inference requires one clone per
-// goroutine.
+// Clone returns an independent copy sharing no state: both forwards write
+// per-instance buffers (activation caches, batch scratch), so concurrent
+// inference requires one clone per goroutine.
 func (n *RefineNet) Clone() *RefineNet {
 	c := NewRefineNet(rand.New(rand.NewSource(0)), n.Features)
 	src, dst := n.Params(), c.Params()

@@ -102,22 +102,7 @@ func (u *Upsample2) Forward(x *tensor.Tensor) *tensor.Tensor {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	u.inShape = x.Shape
 	out := tensor.New(c, h*2, w*2)
-	par.For(c, par.Grain(c, 4*h*w, par.MinWorkFloats), func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			for y := 0; y < h; y++ {
-				srcRow := (ch*h + y) * w
-				for x2 := 0; x2 < w; x2++ {
-					v := x.Data[srcRow+x2]
-					d0 := (ch*h*2+y*2)*w*2 + x2*2
-					d1 := d0 + w*2
-					out.Data[d0] = v
-					out.Data[d0+1] = v
-					out.Data[d1] = v
-					out.Data[d1+1] = v
-				}
-			}
-		}
-	})
+	upsample2Batch(out.Data, x.Data, c, h, w)
 	return out
 }
 

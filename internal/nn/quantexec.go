@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vrdann/internal/obs"
-	"vrdann/internal/par"
 	"vrdann/internal/tensor"
 )
 
@@ -21,63 +20,6 @@ import (
 // gated on task accuracy (F-score delta against float), not bit identity —
 // rounding activations onto the int8 grid is exactly the approximation
 // being measured.
-
-// ensureI8 returns a [d0,d1,d2] int8 tensor, reusing *t in place when its
-// backing size already matches (shape header rebuilt in place). Contents
-// are arbitrary; every user overwrites all elements. Fixed arity on
-// purpose: a variadic shape heap-allocates its slice at every call, which
-// would break the zero-steady-state-allocation guarantee of the batched
-// int8 path.
-func ensureI8(t **tensor.I8, d0, d1, d2 int) *tensor.I8 {
-	numel := d0 * d1 * d2
-	if *t != nil && len((*t).Data) == numel && len((*t).Shape) == 3 {
-		s := (*t).Shape
-		s[0], s[1], s[2] = d0, d1, d2
-		return *t
-	}
-	*t = tensor.NewI8(d0, d1, d2)
-	return *t
-}
-
-// ensureI8Mat is ensureI8 for 2-D patch-matrix scratch.
-func ensureI8Mat(t **tensor.I8, rows, cols int) *tensor.I8 {
-	numel := rows * cols
-	if *t != nil && len((*t).Data) == numel && len((*t).Shape) == 2 {
-		s := (*t).Shape
-		s[0], s[1] = rows, cols
-		return *t
-	}
-	*t = tensor.NewI8(rows, cols)
-	return *t
-}
-
-// ensureI32Mat is ensureI8Mat for int32 accumulator scratch.
-func ensureI32Mat(t **tensor.I32, rows, cols int) *tensor.I32 {
-	numel := rows * cols
-	if *t != nil && len((*t).Data) == numel && len((*t).Shape) == 2 {
-		s := (*t).Shape
-		s[0], s[1] = rows, cols
-		return *t
-	}
-	*t = tensor.NewI32(rows, cols)
-	return *t
-}
-
-// ensureF3 is ensureI8 for the float logit output, backed by the pooled
-// float scratch like the float batched path's ensureBatch.
-func ensureF3(t **tensor.Tensor, d0, d1, d2 int) *tensor.Tensor {
-	numel := d0 * d1 * d2
-	if *t != nil && len((*t).Data) == numel && len((*t).Shape) == 3 {
-		s := (*t).Shape
-		s[0], s[1], s[2] = d0, d1, d2
-		return *t
-	}
-	if *t != nil {
-		par.PutFloats((*t).Data)
-	}
-	*t = tensor.FromSlice(par.GetFloats(numel), d0, d1, d2)
-	return *t
-}
 
 // requantClamp rounds a requantized value (half away from zero, matching
 // math.Round) and clamps it to [lo, 127]; lo is 0 for layers with a fused
@@ -114,7 +56,7 @@ type qconv struct {
 	relu  bool // fuse ReLU into the requantize clamp (lo = 0)
 	final bool // dequantize to float logits instead of requantizing
 
-	// Pooled scratch: patch matrix and accumulator, reused across calls.
+	// Scratch: patch matrix and accumulator, reused across calls.
 	cols *tensor.I8
 	acc  *tensor.I32
 }
@@ -167,9 +109,9 @@ func (q *qconv) forwardBatch(x *tensor.I8, items int, out8 *tensor.I8, outF *ten
 	outH := tensor.ConvOutSize(h, q.k, 1, q.pad)
 	outW := tensor.ConvOutSize(w, q.k, 1, q.pad)
 	rows, oHW := q.inC*q.k*q.k, outH*outW
-	cols := ensureI8Mat(&q.cols, rows, items*oHW)
+	cols := ensure(&q.cols, rows, items*oHW)
 	tensor.Im2ColBatchI8Into(cols, x, items, q.k, q.k, 1, q.pad)
-	acc := ensureI32Mat(&q.acc, q.outC, items*oHW)
+	acc := ensure(&q.acc, q.outC, items*oHW)
 	tensor.MatMulI8Into(acc, q.w, cols)
 	lo := int32(-127)
 	if q.relu {
@@ -194,91 +136,6 @@ func (q *qconv) forwardBatch(x *tensor.I8, items int, out8 *tensor.I8, outF *ten
 	}
 }
 
-// maxPool2BatchI8 is 2×2 max pooling over a wide int8 batch tensor. Max is
-// order-preserving, so pooling commutes with quantization and needs no
-// rescale.
-func maxPool2BatchI8(dst, x *tensor.I8) {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	// Serial fast path BEFORE the closure literal: the parallel closure is
-	// heap-allocated at its creation site, which would break the batched
-	// path's zero-steady-state-allocation guarantee on small inputs.
-	grain := par.Grain(c, h*w, par.MinWorkFloats)
-	if grain >= c || par.MaxWorkers() == 1 {
-		maxPool2I8Rows(dst, x, 0, c)
-		return
-	}
-	par.For(c, grain, func(clo, chi int) {
-		maxPool2I8Rows(dst, x, clo, chi)
-	})
-}
-
-func maxPool2I8Rows(dst, x *tensor.I8, clo, chi int) {
-	h, w := x.Shape[1], x.Shape[2]
-	oh, ow := h/2, w/2
-	for ch := clo; ch < chi; ch++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				base := (ch*h+oy*2)*w + ox*2
-				best := x.Data[base]
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						if v := x.Data[base+dy*w+dx]; v > best {
-							best = v
-						}
-					}
-				}
-				dst.Data[(ch*oh+oy)*ow+ox] = best
-			}
-		}
-	}
-}
-
-// upsample2BatchI8 is nearest-neighbor ×2 upsampling over a wide int8
-// batch tensor; value-preserving, so no rescale.
-func upsample2BatchI8(dst, x *tensor.I8) {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	// Serial fast path before the closure literal, as in maxPool2BatchI8.
-	grain := par.Grain(c, 4*h*w, par.MinWorkFloats)
-	if grain >= c || par.MaxWorkers() == 1 {
-		upsample2I8Rows(dst, x, 0, c)
-		return
-	}
-	par.For(c, grain, func(clo, chi int) {
-		upsample2I8Rows(dst, x, clo, chi)
-	})
-}
-
-func upsample2I8Rows(dst, x *tensor.I8, clo, chi int) {
-	h, w := x.Shape[1], x.Shape[2]
-	for ch := clo; ch < chi; ch++ {
-		for y := 0; y < h; y++ {
-			srcRow := (ch*h + y) * w
-			for x2 := 0; x2 < w; x2++ {
-				v := x.Data[srcRow+x2]
-				d0 := (ch*h*2+y*2)*w*2 + x2*2
-				d1 := d0 + w*2
-				dst.Data[d0] = v
-				dst.Data[d0+1] = v
-				dst.Data[d1] = v
-				dst.Data[d1+1] = v
-			}
-		}
-	}
-}
-
-// concatChannelsBatchI8 interleaves two item-major int8 batch tensors along
-// the channel axis. Both operands must share one quantization scale — the
-// QuantRefineNet keeps skip and upsampled mid on the same hidden grid for
-// exactly this reason.
-func concatChannelsBatchI8(dst, a, b *tensor.I8, n int) {
-	ca, cb := a.Shape[0]/n, b.Shape[0]/n
-	hw := a.Shape[1] * a.Shape[2]
-	for i := 0; i < n; i++ {
-		copy(dst.Data[i*(ca+cb)*hw:], a.Data[i*ca*hw:(i+1)*ca*hw])
-		copy(dst.Data[(i*(ca+cb)+ca)*hw:], b.Data[i*cb*hw:(i+1)*cb*hw])
-	}
-}
-
 // QuantRefineNet is NN-S compiled to the int8 tier: per-channel int8
 // weights, int8 activations on two static grids (input and hidden), int32
 // accumulation, requantize between layers. The float source network is NOT
@@ -300,7 +157,7 @@ type QuantRefineNet struct {
 	conv1, conv2, conv3 *qconv
 
 	// Scratch, reused across calls: quantized input, activations, and the
-	// float logit output (pooled).
+	// float logit output.
 	qin, skip, down, mid, up, cat *tensor.I8
 	out                           *tensor.Tensor
 
@@ -402,24 +259,24 @@ func (q *QuantRefineNet) ForwardBatchQuant(x *tensor.Tensor, items int) *tensor.
 	}
 	h, w := x.Shape[1], x.Shape[2]
 	f := q.Features
-	qin := ensureI8(&q.qin, items*3, h, w)
+	qin := ensure(&q.qin, items*3, h, w)
 	QuantizeInto(qin.Data, x, q.InScale)
 	t := q.obs.Clock()
-	skip := ensureI8(&q.skip, items*f, h, w)
+	skip := ensure(&q.skip, items*f, h, w)
 	q.conv1.forwardBatch(qin, items, skip, nil)
 	q.obs.Span(obs.StageNNSConv1, -1, obs.KindNone, t)
-	down := ensureI8(&q.down, items*f, h/2, w/2)
-	maxPool2BatchI8(down, skip)
+	down := ensure(&q.down, items*f, h/2, w/2)
+	maxPool2Batch(down.Data, skip.Data, items*f, h, w)
 	t = q.obs.Clock()
-	mid := ensureI8(&q.mid, items*f, h/2, w/2)
+	mid := ensure(&q.mid, items*f, h/2, w/2)
 	q.conv2.forwardBatch(down, items, mid, nil)
 	q.obs.Span(obs.StageNNSConv2, -1, obs.KindNone, t)
-	up := ensureI8(&q.up, items*f, h, w)
-	upsample2BatchI8(up, mid)
-	cat := ensureI8(&q.cat, items*2*f, h, w)
-	concatChannelsBatchI8(cat, skip, up, items)
+	up := ensure(&q.up, items*f, h, w)
+	upsample2Batch(up.Data, mid.Data, items*f, h/2, w/2)
+	cat := ensure(&q.cat, items*2*f, h, w)
+	concatChannelsBatch(cat.Data, skip.Data, up.Data, items, f, f, h*w)
 	t = q.obs.Clock()
-	out := ensureF3(&q.out, items, h, w)
+	out := ensure(&q.out, items, h, w)
 	q.conv3.forwardBatch(cat, items, nil, out)
 	q.obs.Span(obs.StageNNSConv3, -1, obs.KindNone, t)
 	return out

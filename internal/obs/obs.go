@@ -51,7 +51,6 @@ const (
 	StageEmit      // result emission / decode-order coalescing
 	StageServe     // serving layer: chunk arrival -> frame result (includes queueing)
 	StageBatchWait // batching engine: item enqueue -> flush start (queue delay)
-	StageBatchNNL  // batching engine: one fused NN-L flush
 	StageBatchNNS  // batching engine: one fused NN-S flush
 	StageMigrate   // shard gateway: one live session migration (drain -> re-admit)
 
@@ -72,7 +71,6 @@ var stageNames = [NumStages]string{
 	"emit",
 	"serve/frame",
 	"batch/wait",
-	"batch/nn-l",
 	"batch/nn-s",
 	"shard/migrate",
 }

@@ -1,8 +1,7 @@
 // Package par is the shared CPU-parallelism substrate of the repository:
-// a bounded fork-join parallel-for sized from runtime.GOMAXPROCS, a grain
-// heuristic that keeps per-block work large enough to amortize scheduling,
-// and pooled scratch buffers that remove per-call allocations from the hot
-// numeric paths.
+// a bounded fork-join parallel-for sized from runtime.GOMAXPROCS and a
+// grain heuristic that keeps per-block work large enough to amortize
+// scheduling.
 //
 // It is the software analog of the paper's agent unit resource manager:
 // every parallel site in the repository — tensor kernels, nn layer passes,

@@ -85,33 +85,6 @@ func TestGrain(t *testing.T) {
 	}
 }
 
-func TestFloatPoolRoundTrip(t *testing.T) {
-	s := GetFloats(1000)
-	if len(s) != 1000 {
-		t.Fatalf("len=%d", len(s))
-	}
-	for i := range s {
-		s[i] = 1
-	}
-	PutFloats(s)
-	z := GetFloatsZeroed(900)
-	if len(z) != 900 {
-		t.Fatalf("len=%d", len(z))
-	}
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("GetFloatsZeroed left dirty value at %d: %v", i, v)
-		}
-	}
-	PutFloats(z)
-	// Out-of-range sizes still work (plain allocation).
-	tiny := GetFloats(1)
-	if len(tiny) != 1 {
-		t.Fatal("tiny buffer")
-	}
-	PutFloats(tiny)
-}
-
 func TestMaxWorkersPositive(t *testing.T) {
 	if MaxWorkers() < 1 {
 		t.Fatal("MaxWorkers must be >= 1")

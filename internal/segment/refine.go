@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"fmt"
+
 	"vrdann/internal/nn"
 	"vrdann/internal/obs"
 	"vrdann/internal/tensor"
@@ -13,78 +15,104 @@ import (
 // channel 2 the segmentation of the immediately following reference frame.
 func Sandwich(prev *video.Mask, recon *ReconMask, next *video.Mask) *tensor.Tensor {
 	x := tensor.New(3, recon.H, recon.W)
-	SandwichInto(x, prev, recon, next)
+	sandwichInto(x.Data, prev, recon, next)
 	return x
 }
 
-// SandwichInto is Sandwich writing into a caller-owned [3, H, W] tensor;
-// every element is overwritten, so the buffer needs no zeroing between
-// frames.
-func SandwichInto(x *tensor.Tensor, prev *video.Mask, recon *ReconMask, next *video.Mask) {
+// sandwichInto is Sandwich writing into a caller-owned 3*H*W slice; every
+// element is overwritten, so the buffer needs no zeroing between frames.
+func sandwichInto(x []float32, prev *video.Mask, recon *ReconMask, next *video.Mask) {
 	w, h := recon.W, recon.H
 	plane := h * w
 	for y := 0; y < h; y++ {
 		for xx := 0; xx < w; xx++ {
 			i := y*w + xx
-			x.Data[i] = float32(prev.Pix[i])
-			x.Data[plane+i] = recon.Value(xx, y)
-			x.Data[2*plane+i] = float32(next.Pix[i])
+			x[i] = float32(prev.Pix[i])
+			x[plane+i] = recon.Value(xx, y)
+			x[2*plane+i] = float32(next.Pix[i])
 		}
 	}
 }
 
-// Refiner runs NN-S over a sequence of B-frames, reusing the sandwich
-// input tensor across invocations so steady-state refinement allocates
-// only the output mask. A Refiner is not safe for concurrent use (the
-// network caches forward-pass activations); concurrent pipelines hold one
-// Refiner per worker over a Clone of the network.
-//
-// Exactly one of Net and Quant is set: Net runs float inference, Quant the
-// int8 execution tier (same decisions gated on F-score, not bit identity).
-type Refiner struct {
-	Net   *nn.RefineNet
-	Quant *nn.QuantRefineNet
-	in    *tensor.Tensor
+// RefineJob is one B-frame refinement request: the flanking anchor
+// segmentations and the MV-reconstructed current frame.
+type RefineJob struct {
+	Prev *video.Mask
+	Rec  *ReconMask
+	Next *video.Mask
 }
 
-// NewRefiner wraps a refinement network with a reusable input buffer.
-func NewRefiner(net *nn.RefineNet) *Refiner { return &Refiner{Net: net} }
+// Refiner is the NN-S executor: it runs the refinement network over one or
+// many B-frames per call, in one fused inference forward. Float or int8 is
+// decided once, by the constructor; the batch size is a property of the
+// call. The packed input tensor is reused across calls, so steady-state
+// refinement allocates only its result. A Refiner is not safe for
+// concurrent use (the network's forward reuses per-instance scratch);
+// concurrent pipelines hold one Refiner per worker over a Clone of the
+// network.
+type Refiner struct {
+	// forward is the wrapped network's batched inference forward: [n*3, H,
+	// W] sandwiches in, [n, H, W] logits (aliasing network scratch) out.
+	forward func(x *tensor.Tensor, items int) *tensor.Tensor
+	obs     *obs.Collector // the network's observer when it was wrapped
+	in      tensor.Tensor
+}
 
-// NewQuantRefiner wraps an int8-compiled refinement network; Refine runs
-// the quantized tier instead of float.
-func NewQuantRefiner(q *nn.QuantRefineNet) *Refiner { return &Refiner{Quant: q} }
+// NewRefiner wraps a float refinement network. Attach the network's
+// observer, if any, before wrapping it.
+func NewRefiner(net *nn.RefineNet) *Refiner {
+	return &Refiner{forward: net.ForwardBatch, obs: net.Observer()}
+}
 
-// observer returns whichever network's collector is attached.
-func (r *Refiner) observer() *obs.Collector {
-	if r.Quant != nil {
-		return r.Quant.Observer()
-	}
-	return r.Net.Observer()
+// NewQuantRefiner wraps an int8-compiled refinement network: the same
+// decisions on the quantized tier, gated on F-score, not bit identity.
+func NewQuantRefiner(q *nn.QuantRefineNet) *Refiner {
+	return &Refiner{forward: q.ForwardBatchQuant, obs: q.Observer()}
 }
 
 // Refine runs NN-S on the sandwich of (prev, recon, next) and returns the
-// refined binary segmentation of the B-frame.
+// refined binary segmentation of the B-frame: a batch of one.
 func (r *Refiner) Refine(prev *video.Mask, recon *ReconMask, next *video.Mask) *video.Mask {
-	if r.in == nil || r.in.Shape[1] != recon.H || r.in.Shape[2] != recon.W {
-		r.in = tensor.New(3, recon.H, recon.W)
+	return r.RefineBatch([]RefineJob{{Prev: prev, Rec: recon, Next: next}})[0]
+}
+
+// RefineBatch refines all jobs — which must share one geometry — in a
+// single fused forward pass and returns one mask per job, each bitwise
+// equal to refining that job alone. The caller groups jobs by geometry;
+// mixing sizes panics.
+func (r *Refiner) RefineBatch(jobs []RefineJob) []*video.Mask {
+	n := len(jobs)
+	if n == 0 {
+		return nil
 	}
-	c := r.observer()
-	t := c.Clock()
-	SandwichInto(r.in, prev, recon, next)
-	c.Span(obs.StageSandwich, -1, obs.KindNone, t)
-	var logits *tensor.Tensor
-	if r.Quant != nil {
-		logits = r.Quant.ForwardQuant(r.in)
-	} else {
-		logits = r.Net.Forward(r.in)
-	}
-	m := video.NewMask(recon.W, recon.H)
-	for i, v := range logits.Data {
-		if v > 0 {
-			m.Pix[i] = 1
+	h, w := jobs[0].Rec.H, jobs[0].Rec.W
+	for _, j := range jobs[1:] {
+		if j.Rec.H != h || j.Rec.W != w {
+			panic(fmt.Sprintf("segment: RefineBatch geometry mix: %dx%d vs %dx%d", w, h, j.Rec.W, j.Rec.H))
 		}
 	}
-	return m
+	item := 3 * h * w
+	if len(r.in.Data) != n*item {
+		r.in.Data = make([]float32, n*item)
+	}
+	r.in.Shape = append(r.in.Shape[:0], n*3, h, w)
+	t := r.obs.Clock()
+	for i, j := range jobs {
+		sandwichInto(r.in.Data[i*item:(i+1)*item], j.Prev, j.Rec, j.Next)
+	}
+	r.obs.Span(obs.StageSandwich, -1, obs.KindNone, t)
+	logits := r.forward(&r.in, n)
+	masks := make([]*video.Mask, n)
+	for i := range masks {
+		m := video.NewMask(w, h)
+		for p, v := range logits.Data[i*h*w : (i+1)*h*w] {
+			if v > 0 {
+				m.Pix[p] = 1
+			}
+		}
+		masks[i] = m
+	}
+	return masks
 }
 
 // Refine runs NN-S on the sandwich input and returns the refined binary

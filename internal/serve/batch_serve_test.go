@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"vrdann/internal/codec"
 	"vrdann/internal/nn"
 	"vrdann/internal/obs"
 )
@@ -112,9 +113,15 @@ func TestBatchedMasksBitIdenticalToSerial(t *testing.T) {
 				}
 				return
 			}
-			wantItems := int64(tc.streams * 2 * 18)
+			bFrames := 0
+			for _, m := range ref {
+				if m.Type == codec.BFrame {
+					bFrames++
+				}
+			}
+			wantItems := int64(tc.streams * 2 * bFrames)
 			if items != wantItems {
-				t.Fatalf("batch-items = %d, want %d (every NN step batched)", items, wantItems)
+				t.Fatalf("batch-items = %d, want %d (every refined B-frame batched, no anchor)", items, wantItems)
 			}
 			occ := snap.Hist("batch-occupancy")
 			if occ == nil || occ.Count == 0 {
@@ -134,26 +141,34 @@ func TestBatchedMasksBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestBatchWorkerSizing pins the Config interplay: defaulted Workers rise
-// to MaxBatch, explicit Workers cap MaxBatch, and MaxBatch<=1 builds no
-// batcher.
+// TestBatchWorkerSizing pins the Config interplay: with refinement on,
+// defaulted Workers rise to MaxBatch and explicit Workers cap MaxBatch;
+// MaxBatch<=1 builds no batcher; and without a refinement network there is
+// nothing to fuse, so MaxBatch neither builds a batcher nor raises Workers.
 func TestBatchWorkerSizing(t *testing.T) {
-	c := Config{MaxBatch: 8}.withDefaults()
+	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
+	c := Config{MaxBatch: 8, NNS: nns}.withDefaults()
 	if c.Workers < 8 {
 		t.Fatalf("defaulted Workers = %d, want >= MaxBatch 8", c.Workers)
 	}
-	c = Config{MaxBatch: 8, Workers: 2}.withDefaults()
+	c = Config{MaxBatch: 8, Workers: 2, NNS: nns}.withDefaults()
 	if c.MaxBatch != 2 {
 		t.Fatalf("explicit Workers=2 left MaxBatch=%d, want clamp to 2", c.MaxBatch)
 	}
-	srv, err := NewServer(Config{NewSegmenter: oracleFor(makeTestVideo(2, 1)), MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
+	if got, want := (Config{MaxBatch: 64}).withDefaults().Workers, (Config{}).withDefaults().Workers; got != want {
+		t.Fatalf("MaxBatch without NN-S moved defaulted Workers to %d, want %d", got, want)
 	}
-	if srv.batcher != nil {
-		t.Fatal("MaxBatch=1 built a batcher")
-	}
-	if err := srv.Close(context.Background()); err != nil {
-		t.Fatal(err)
+	for _, cfg := range []Config{{MaxBatch: 1, NNS: nns}, {MaxBatch: 4}} {
+		cfg.NewSegmenter = oracleFor(makeTestVideo(2, 1))
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv.batcher != nil {
+			t.Fatalf("MaxBatch=%d refine=%t built a batcher", cfg.MaxBatch, cfg.NNS != nil)
+		}
+		if err := srv.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -451,11 +451,9 @@ func TestAbandonedFillReoffered(t *testing.T) {
 			}
 			return segment.NewOracle("target", vA.Masks, 0.05, 2, 7)
 		},
-		NNS:          nns,
-		MaxBatch:     2, // batched execution confines the owner's panic to its item
-		MaxBatchWait: 50 * time.Millisecond,
-		CacheBytes:   64 << 20,
-		Obs:          col,
+		NNS:        nns,
+		CacheBytes: 64 << 20,
+		Obs:        col,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"vrdann/internal/codec"
 	"vrdann/internal/core"
+	"vrdann/internal/nn"
 	"vrdann/internal/obs"
 	"vrdann/internal/segment"
+	"vrdann/internal/video"
 )
 
 // truncateChunk cuts an encoded chunk mid-payload: the header survives (so
@@ -286,5 +290,98 @@ func TestBreakerFailsQueuedChunks(t *testing.T) {
 	var ce *ChunkError
 	if !errors.As(err, &ce) || ce.Class != core.ClassMalformed {
 		t.Fatalf("queued-chunk error %v lacks the tripping failure's class", err)
+	}
+}
+
+// poisonSegmenter is an NN-L that takes its session down one of two ways:
+// it panics outright (nnl), or it returns an undersized anchor mask, which
+// MV reconstruction tolerates (reference reads are clamped) and NN-S's
+// input packing then indexes out of range — a panic inside the refiner.
+type poisonSegmenter struct {
+	nnl   bool
+	inner segment.Segmenter
+}
+
+func (p *poisonSegmenter) Name() string { return p.inner.Name() }
+func (p *poisonSegmenter) Segment(f *video.Frame, display int) *video.Mask {
+	if p.nnl {
+		panic("poisoned NN-L")
+	}
+	return video.NewMask(f.W/2, f.H/2)
+}
+
+// TestModelPanicIsConfined pins the serving path's panic containment with
+// and without the batcher: a model panic in one session's NN-L or NN-S
+// resolves that chunk with an internal-class *ChunkError — it neither
+// unwinds the worker (the process survives to serve the rest) nor touches a
+// concurrent healthy session, whose masks stay byte-identical to the serial
+// reference — and Close leaves no goroutine behind.
+func TestModelPanicIsConfined(t *testing.T) {
+	v := makeTestVideo(18, 1.5)
+	chunk := encodeTestVideo(t, v)
+	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
+	ref := serialReference(t, v, chunk, nns)
+
+	for _, maxBatch := range []int{0, 4} {
+		for _, where := range []string{"nn-l", "nn-s"} {
+			t.Run(fmt.Sprintf("batch%d/%s", maxBatch, where), func(t *testing.T) {
+				requireNoGoroutineLeak(t, func() {
+					opened := 0
+					srv, err := NewServer(Config{
+						MaxSessions: 2,
+						Workers:     4,
+						MaxBatch:    maxBatch,
+						NNS:         nns,
+						NewSegmenter: func(id string) segment.Segmenter {
+							opened++
+							if opened == 1 {
+								return &poisonSegmenter{nnl: where == "nn-l", inner: oracleFor(v)(id)}
+							}
+							return oracleFor(v)(id)
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					poisoned, err := srv.Open()
+					if err != nil {
+						t.Fatal(err)
+					}
+					healthy, err := srv.Open()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cp, err := poisoned.Submit(context.Background(), chunk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ch, err := healthy.Submit(context.Background(), chunk)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					_, perr := cp.Wait(context.Background())
+					var ce *ChunkError
+					if !errors.As(perr, &ce) || ce.Class != core.ClassInternal {
+						t.Fatalf("poisoned chunk resolved with %v, want *ChunkError of class internal", perr)
+					}
+					got, err := ch.Wait(context.Background())
+					if err != nil {
+						t.Fatalf("healthy session failed beside a panicking one: %v", err)
+					}
+					if len(got) != len(ref) {
+						t.Fatalf("healthy session served %d frames, want %d", len(got), len(ref))
+					}
+					for i, r := range got {
+						if r.Mask == nil || !bytes.Equal(r.Mask.Pix, ref[i].Mask.Pix) {
+							t.Fatalf("healthy frame %d diverges from the serial reference", i)
+						}
+					}
+					if err := srv.Close(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				})
+			})
+		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"vrdann/internal/codec"
@@ -78,7 +79,17 @@ func (s *Session) stepOnce() {
 // serveOneFrame advances the session's engine by one frame. Only the
 // worker currently holding s.running executes this, so the decoder/engine
 // state needs no lock.
+//
+// It is the serving path's one panic-containment site: a panic in the
+// decoder, the engine step or a model becomes a core.ClassInternal error
+// for stepOnce's quarantine and the breaker to handle like any failed step,
+// instead of unwinding the worker and taking the whole process down.
 func (s *Session) serveOneFrame(cur *Chunk) (finished bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			finished, err = false, fmt.Errorf("serve: panic serving frame: %v", r)
+		}
+	}()
 	if s.eng == nil {
 		mode := codec.DecodeSideInfo
 		if ctl := s.srv.qosCtl; ctl != nil && ctl.ResegInterval() > 0 {
@@ -333,59 +344,44 @@ func (s *Session) mirrorQuantCounters() {
 	}
 }
 
-// execPending computes a step's NN mask: through the shared dynamic
-// batcher when one is configured, inline otherwise. The session's own
-// nn-l/refine spans are recorded either way, so per-session latency
-// reports stay comparable across modes (batched spans include queue wait).
-// The submit uses the server context so a forced drain wakes workers
-// blocked in a batch; a batcher error fails only this session's step —
-// batch-mates got their own results.
+// execPending computes a step's NN mask. NN-L work (anchors, and B-frames
+// the ladder promoted to the full rung) runs inline with the session's own
+// segmenter: no Segmenter fuses frames, so a cross-session queue would have
+// nothing to share. NN-S refinement goes through the shared batcher when
+// one is configured, on the server context so a forced drain wakes workers
+// blocked in a batch; a batcher error fails only this session's step. The
+// session's refine span is recorded either way (batched spans include queue
+// wait), so per-session latency reports stay comparable across modes.
 //
-// Batched B-frame work carries the chunk's deadline: StepPrepare's budget
-// check ran before the item queued, and a partial batch can hold it well
-// past FrameBudget (the timer flush only bounds the wait, not the total
-// age). An item that ages out while queued is retracted to the ladder's
-// next-cheaper rung — the raw MV reconstruction — instead of computing
-// stale NN work, and counted on qos/deadline-overruns. True anchors are
-// never retracted; later frames reference them.
+// Batched work carries the chunk's deadline: StepPrepare's budget check ran
+// before the item queued, and a partial batch can hold it well past
+// FrameBudget. An item that ages out while queued is retracted to the
+// ladder's next-cheaper rung — the raw MV reconstruction — instead of
+// computing stale NN work, and counted on qos/deadline-overruns.
 func (s *Session) execPending(cur *Chunk, pn *core.PendingNN) (*video.Mask, error) {
 	b := s.srv.batcher
-	if b == nil || (s.adaptVersion > 0 && !pn.IsAnchor()) {
-		// Sessions serving promoted weights bypass the batcher for NN-S: the
-		// fused batch executes one shared base-weight network, which would
-		// silently serve this session the un-adapted model. Before the first
-		// promotion the clone's weights equal the base, so fused batching
-		// stays bit-identical; anchors keep batching throughout (NN-L runs
-		// each item's own segmenter).
+	if b == nil || pn.IsAnchor() || s.adaptVersion > 0 {
+		// Sessions serving promoted weights bypass the batcher too: it runs one
+		// shared base-weight network, which would silently serve this session
+		// the un-adapted model. Before the first promotion the clone's weights
+		// equal the base, so fused batching stays bit-identical.
 		return pn.ExecuteLocal(), nil
 	}
 	ctx := s.srv.ctx
-	budget := s.srv.cfg.FrameBudget
-	if budget > 0 && pn.Retractable() {
+	if budget := s.srv.cfg.FrameBudget; budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, cur.arrived.Add(budget))
 		defer cancel()
 	}
 	t := s.obs.Clock()
-	var m *video.Mask
-	var err error
-	if pn.IsAnchor() {
-		m, err = b.Segment(ctx, pn.Segmenter(), pn.Frame(), pn.Display())
-		s.obs.Span(obs.StageNNL, pn.Display(), byte(pn.FrameType()), t)
-	} else {
-		prev, rec, next := pn.RefineInputs()
-		m, err = b.Refine(ctx, prev, rec, next)
-		s.obs.Span(obs.StageRefine, pn.Display(), byte(pn.FrameType()), t)
-	}
+	prev, rec, next := pn.RefineInputs()
+	m, err := b.Refine(ctx, prev, rec, next)
+	s.obs.Span(obs.StageRefine, pn.Display(), byte(pn.FrameType()), t)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) && s.srv.ctx.Err() == nil {
 		s.obs.Count(obs.CounterQoSDeadlineOverruns, 1)
 		s.srv.cfg.Obs.Count(obs.CounterQoSDeadlineOverruns, 1)
-		if fb := pn.FallbackMask(); fb != nil {
-			s.lastStep = qos.StepRecon
-			return fb, nil
-		}
-		s.lastStep = qos.StepSkip
-		return nil, nil
+		s.lastStep = qos.StepRecon
+		return pn.FallbackMask(), nil
 	}
 	return m, err
 }

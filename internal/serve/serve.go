@@ -133,13 +133,13 @@ type Config struct {
 	// MaxChunkBytes bounds one HTTP-posted chunk body; oversized posts get
 	// 413. A DoS guard, not a protocol limit. Default 64 MiB.
 	MaxChunkBytes int64
-	// MaxBatch enables the cross-session dynamic batching engine: NN work
-	// (NN-L anchor segmentation, NN-S refinement) from all sessions is
-	// coalesced into fused batched executions of up to MaxBatch items.
-	// Values <= 1 keep the unbatched per-session path (the default). When
-	// Workers is left at its default it is raised to at least MaxBatch —
-	// a batch can only fill if that many workers can block in it at once —
-	// and an explicit Workers caps MaxBatch instead.
+	// MaxBatch enables the cross-session dynamic batching engine: NN-S
+	// refinement work from all sessions is coalesced into fused forwards of
+	// up to MaxBatch items (NN-L always runs on the session's own worker).
+	// Values <= 1, or no NNS/QuantNNS, keep the unbatched per-session path
+	// (the default). Otherwise a Workers left at its default is raised to at
+	// least MaxBatch — a batch can only fill if that many workers can block
+	// in it at once — and an explicit Workers caps MaxBatch instead.
 	MaxBatch int
 	// MaxBatchWait bounds how long a partial batch waits for batch-mates
 	// before flushing (tail-latency bound at low concurrency). Default 2ms.
@@ -186,9 +186,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = par.EffectiveWorkers(runtime.GOMAXPROCS(0))
-		// Workers blocked in a batch cost no CPU; without this floor every
+		// Workers blocked in an NN-S batch cost no CPU; without this floor every
 		// flush on a small machine would be a timer flush of a partial batch.
-		if c.MaxBatch > c.Workers {
+		if c.MaxBatch > c.Workers && (c.NNS != nil || c.QuantNNS != nil) {
 			c.Workers = c.MaxBatch
 		}
 	}
@@ -222,7 +222,7 @@ type Server struct {
 	// send non-blocking under srv.mu.
 	runq chan *Session
 	// batcher, when non-nil, is the shared cross-session dynamic batching
-	// engine all NN work is routed through (cfg.MaxBatch > 1).
+	// engine NN-S refinement is routed through (cfg.MaxBatch > 1, NN-S on).
 	batcher *batch.Engine
 	// cache, when non-nil, is the shared content-addressed mask cache
 	// (cfg.Cache, or built from cfg.CacheBytes).
@@ -282,13 +282,15 @@ func NewServer(cfg Config) (*Server, error) {
 		// promotion is the weights themselves.
 		srv.adaptCalib = adapt.SandwichCalibration(64, 48, 4, 1)
 	}
-	if cfg.MaxBatch > 1 {
+	if cfg.MaxBatch > 1 && (cfg.NNS != nil || cfg.QuantNNS != nil) {
 		srv.batcher = batch.New(batch.Config{
 			MaxBatch: cfg.MaxBatch,
 			MaxWait:  cfg.MaxBatchWait,
-			NNS:      cfg.NNS,
-			QuantNNS: cfg.QuantNNS,
-			Obs:      cfg.Obs,
+			// A private clone of the tier the sessions serve (the same choice
+			// their engines make): a fused lane must equal the session's own
+			// forward bit for bit.
+			Refiner: (&core.StreamingPipeline{NNS: cfg.NNS, Quant: cfg.QuantNNS, Refine: true}).NewRefiner(),
+			Obs:     cfg.Obs,
 			// Producer-stall detection: every queued batch item is a worker
 			// blocked in the engine. When all busy workers are blocked and no
 			// session is waiting for a worker, no further item can arrive —

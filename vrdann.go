@@ -38,7 +38,6 @@ import (
 
 	"vrdann/internal/adapt"
 	"vrdann/internal/baseline"
-	"vrdann/internal/batch"
 	"vrdann/internal/codec"
 	"vrdann/internal/contentcache"
 	"vrdann/internal/core"
@@ -233,12 +232,6 @@ type (
 	// StreamDecoder decodes a bitstream incrementally with a pruned
 	// reference window; Reset reuses it across a session's chunks.
 	StreamDecoder = codec.StreamDecoder
-	// BatchEngine coalesces NN work from many sessions into fused batched
-	// kernel executions; masks stay bit-identical to unbatched runs.
-	BatchEngine = batch.Engine
-	// BatchConfig parameterizes a BatchEngine (flush threshold, partial
-	// flush deadline, refinement network, metrics collector).
-	BatchConfig = batch.Config
 )
 
 // Queue-overflow policies.
@@ -250,13 +243,10 @@ const (
 )
 
 // NewServer starts a multi-stream serving layer and its worker pool. Set
-// ServeConfig.MaxBatch > 1 to route NN work through a shared BatchEngine.
+// ServeConfig.MaxBatch > 1 (with an NN-S configured) to fuse NN-S
+// refinement across sessions in a shared dynamic batcher; masks stay
+// bit-identical to unbatched runs.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.NewServer(cfg) }
-
-// NewBatchEngine builds a standalone cross-session dynamic batcher; a
-// Server with MaxBatch > 1 constructs one internally, so this is only
-// needed when embedding the batcher in a custom scheduler.
-func NewBatchEngine(cfg BatchConfig) *BatchEngine { return batch.New(cfg) }
 
 // Content-addressed mask sharing: sessions serving bit-identical chunks
 // under the same model configuration share NN-L/NN-S results through one
