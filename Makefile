@@ -7,10 +7,10 @@
 # pass over the bitstream decoders.
 
 GO ?= go
-RACE_PKGS := ./internal/par ./internal/core ./internal/tensor ./internal/nn ./internal/obs ./internal/batch ./internal/serve ./internal/contentcache ./internal/shard ./internal/qos ./internal/adapt ./internal/experiments ./bench
+RACE_PKGS := ./internal/par ./internal/core ./internal/tensor ./internal/nn ./internal/obs ./internal/serve ./internal/contentcache ./internal/shard ./internal/qos ./internal/adapt ./internal/experiments ./bench
 FUZZTIME ?= 5s
 
-.PHONY: check fmt-check vet build test race loc bench suite fuzz-smoke bench-smoke serve-smoke batch-smoke quant-smoke cache-smoke chaos-smoke gate-smoke qos-smoke adapt-smoke
+.PHONY: check fmt-check vet build test race loc bench suite fuzz-smoke bench-smoke serve-smoke refine-smoke quant-smoke cache-smoke chaos-smoke gate-smoke qos-smoke adapt-smoke
 
 check: fmt-check vet build test race fuzz-smoke
 
@@ -32,7 +32,7 @@ race:
 # Non-test Go lines (wc -l) per serving-core package, the serving-core
 # total, and everything outside bench/ — the numbers a simplicity PR quotes
 # before and after.
-SERVING_CORE := core segment nn tensor serve batch contentcache qos shard
+SERVING_CORE := core segment nn tensor serve contentcache qos shard
 loc:
 	@for p in $(SERVING_CORE); do \
 		printf '%-14s %6d\n' $$p $$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
@@ -62,10 +62,10 @@ bench-smoke:
 serve-smoke:
 	$(GO) run ./cmd/vrserve -smoke
 
-# The same self-test with NN-S refinement trained at startup, so the
-# multi-session batched leg has NN-S work to fuse and checks its masks
-# bit-identical to the unbatched reference.
-batch-smoke:
+# The same self-test with NN-S refinement trained at startup: every leg
+# serves refined B-frames, and the four-stream leg checks its masks
+# bit-identical to the single-stream reference.
+refine-smoke:
 	$(GO) run ./cmd/vrserve -smoke -refine
 
 # The quant leg: -quant compiles the trained NN-S to the int8 execution

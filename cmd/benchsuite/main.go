@@ -9,7 +9,7 @@
 // With no figure arguments, every experiment runs. Valid names: fig3a,
 // fig3b, fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17,
 // tableII, headline, ablations, timeline, realtime, dse, stability,
-// energy, stages, serve, batch, quant, faults, cache, shard, qos, adapt.
+// energy, stages, serve, quant, faults, cache, shard, qos, adapt.
 package main
 
 import (
@@ -41,7 +41,7 @@ func main() {
 	}
 	h := experiments.New(cfg)
 
-	all := []string{"fig3a", "fig3b", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "tableII", "headline", "ablations", "timeline", "realtime", "dse", "stability", "energy", "stages", "serve", "batch", "quant", "faults", "cache", "shard", "qos", "adapt"}
+	all := []string{"fig3a", "fig3b", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "tableII", "headline", "ablations", "timeline", "realtime", "dse", "stability", "energy", "stages", "serve", "quant", "faults", "cache", "shard", "qos", "adapt"}
 	want := flag.Args()
 	if len(want) == 0 {
 		want = all
@@ -148,9 +148,6 @@ func figureData(h *experiments.Harness, name string) (any, error) {
 		return h.Stages()
 	case "serve":
 		rows, err := h.Serve()
-		return rows, err
-	case "batch":
-		rows, err := h.Batch()
 		return rows, err
 	case "cache":
 		rows, err := h.CacheFigure()
@@ -388,19 +385,6 @@ func runFigure(h *experiments.Harness, name string) error {
 				r.Streams, r.Admitted, r.AdmissionRejects, r.Frames,
 				r.FPS, r.PerStreamFPS, r.P50MS, r.P95MS, r.P99MS, r.DropPct)
 		}
-	case "batch":
-		rows, err := h.Batch()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Dynamic batching sweep (streams x MaxBatch; MaxBatch=1 is unbatched):")
-		fmt.Printf("  %7s %9s %7s %9s %8s %8s %8s %7s %30s\n",
-			"streams", "maxbatch", "frames", "total fps", "p50 ms", "p95 ms", "p99 ms", "occ", "flushes full/timer/stall/drain")
-		for _, r := range rows {
-			fmt.Printf("  %7d %9d %7d %9.1f %8.1f %8.1f %8.1f %7.2f %12d %5d %5d %5d\n",
-				r.Streams, r.MaxBatch, r.Frames, r.FPS, r.P50MS, r.P95MS, r.P99MS,
-				r.MeanOccupancy, r.FlushFull, r.FlushTimer, r.FlushStall, r.FlushDrain)
-		}
 	case "cache":
 		rows, err := h.CacheFigure()
 		if err != nil {
@@ -442,13 +426,13 @@ func runFigure(h *experiments.Harness, name string) error {
 			return err
 		}
 		fmt.Println("QoS ladder overload sweep (open-loop arrivals, premium/free mix):")
-		fmt.Printf("  %9s %7s %7s %8s %8s %7s %7s %7s %28s %8s\n",
-			"interval", "frames", "drop", "p95 ms", "p99 ms", "IoU", "IoU(p)", "IoU(f)", "steps full/refine/recon/skip", "overruns")
+		fmt.Printf("  %9s %7s %7s %8s %8s %7s %7s %7s %28s\n",
+			"interval", "frames", "drop", "p95 ms", "p99 ms", "IoU", "IoU(p)", "IoU(f)", "steps full/refine/recon/skip")
 		for _, r := range rows {
-			fmt.Printf("  %7.0fms %7d %7d %8.1f %8.1f %7.3f %7.3f %7.3f %9d %6d %5d %5d %8d\n",
+			fmt.Printf("  %7.0fms %7d %7d %8.1f %8.1f %7.3f %7.3f %7.3f %9d %6d %5d %5d\n",
 				r.IntervalMS, r.Frames, r.Dropped, r.P95MS, r.P99MS,
 				r.MeanIoU, r.PremiumIoU, r.FreeIoU,
-				r.StepFull, r.StepRefine, r.StepRecon, r.StepSkip, r.DeadlineOverruns)
+				r.StepFull, r.StepRefine, r.StepRecon, r.StepSkip)
 		}
 	case "adapt":
 		rows, err := h.AdaptFigure()
@@ -473,11 +457,11 @@ func runFigure(h *experiments.Harness, name string) error {
 		fmt.Println("Quantized kernel tier (int8 vs float, residual-driven skipping):")
 		fmt.Printf("  kernels (batch %d): float %.1fms/item, int8 %.1fms/item — %.2fx, %.2f Gop/s int8 (sim efficiency %.2e)\n",
 			k.Items, k.FloatNSPerItem/1e6, k.Int8NSPerItem/1e6, k.Speedup, k.Int8OpsPerSec/1e9, k.SimEfficiency)
-		fmt.Printf("  %-10s %7s %9s %8s %8s %8s %7s %7s %7s %6s\n",
-			"path", "frames", "total fps", "p50 ms", "p95 ms", "p99 ms", "F", "dF", "occ", "skip%")
+		fmt.Printf("  %-10s %7s %9s %8s %8s %8s %7s %7s %6s\n",
+			"path", "frames", "total fps", "p50 ms", "p95 ms", "p99 ms", "F", "dF", "skip%")
 		for _, r := range rep.Rows {
-			fmt.Printf("  %-10s %7d %9.1f %8.1f %8.1f %8.1f %7.3f %7.3f %7.2f %5.1f%%\n",
-				r.Path, r.Frames, r.FPS, r.P50MS, r.P95MS, r.P99MS, r.FScore, r.DeltaF, r.MeanOccupancy, 100*r.SkipRate)
+			fmt.Printf("  %-10s %7d %9.1f %8.1f %8.1f %8.1f %7.3f %7.3f %5.1f%%\n",
+				r.Path, r.Frames, r.FPS, r.P50MS, r.P95MS, r.P99MS, r.FScore, r.DeltaF, 100*r.SkipRate)
 		}
 	case "faults":
 		rep, err := h.Faults()

@@ -56,8 +56,6 @@ func main() {
 		skipThresh  = flag.Int("skip-threshold", 8, "residual energy above which a block is refined under -quant (0 = skip only bit-exact predictions)")
 		smoke       = flag.Bool("smoke", false, "run the serving self-test and exit")
 		readyFile   = flag.String("ready-file", "", "after binding, write the server's base URL here (multi-process harnesses pass -addr 127.0.0.1:0 and poll this file)")
-		batchSize   = flag.Int("batch", 0, "dynamic batching: fuse up to this many NN-S refinements across sessions (<=1, or no -refine, disables)")
-		batchWait   = flag.Duration("batch-wait", 0, "partial-batch flush deadline (0 = 2ms default)")
 		cacheMB     = flag.Int64("cache-mb", 0, "shared content-addressed mask cache budget in MiB: sessions serving bit-identical chunks share anchor/B-frame masks (0 disables)")
 		qosMode     = flag.String("qos", "off", "adaptive QoS degradation ladder: on|off. off keeps the pre-ladder binary policy (bit-identical serving); on degrades B-frames full->refine->recon->skip under load, with premium/free session classes (?class= on open)")
 		adaptMode   = flag.String("adapt", "off", "online per-stream adaptation: on|off. on fine-tunes a private NN-S clone per session from its own NN-L anchor pseudo-labels, in serving idle gaps only, promoting weights that beat the serving set (implies -refine)")
@@ -75,8 +73,6 @@ func main() {
 		Workers:         *workers,
 		FrameBudget:     *budget,
 		MaxChunkBytes:   *maxChunk,
-		MaxBatch:        *batchSize,
-		MaxBatchWait:    *batchWait,
 		CacheBytes:      *cacheMB << 20,
 
 		BreakerThreshold: *brkFails,
@@ -236,7 +232,7 @@ func runSmoke(cfg serve.Config) error {
 	}
 
 	// Leg 1: the load generator against the server core. The masks double
-	// as the reference the batched leg below must reproduce exactly, and
+	// as the reference the multi-stream leg below must reproduce exactly, and
 	// the B-frame F-scores against ground truth anchor the quant gate.
 	frames := 0
 	refMasks := make(map[int][]byte)
@@ -364,21 +360,17 @@ func runSmoke(cfg serve.Config) error {
 		return fmt.Errorf("drain: %w", err)
 	}
 
-	// Leg 4: multi-session dynamic batching — four streams through one
-	// batched server, every mask bit-identical to the leg-1 reference, and,
-	// when refinement is on (only NN-S batches), the batch telemetry
-	// present in the collector.
-	bcfg := cfg
-	bcfg.MaxBatch = 4
-	bcfg.Workers = 0 // let the default rise to MaxBatch
-	bcfg.Obs = obs.New()
-	bsrv, err := serve.NewServer(bcfg)
+	// Leg 4: four concurrent streams through one server sharing its worker
+	// pool, every mask bit-identical to the leg-1 reference.
+	mcfg := cfg
+	mcfg.Obs = obs.New()
+	msrv, err := serve.NewServer(mcfg)
 	if err != nil {
-		return fmt.Errorf("batched server: %w", err)
+		return fmt.Errorf("multi-stream server: %w", err)
 	}
-	var batchErr error
-	bgen := &serve.LoadGen{
-		Server:  bsrv,
+	var multiErr error
+	mgen := &serve.LoadGen{
+		Server:  msrv,
 		Streams: 4,
 		Chunks:  func(int) [][]byte { return [][]byte{st.Data, st.Data} },
 		OnResult: func(stream int, r serve.FrameResult) {
@@ -387,33 +379,24 @@ func runSmoke(cfg serve.Config) error {
 			}
 			refMu.Lock()
 			want, ok := refMasks[r.Display]
-			if batchErr == nil && (!ok || !bytes.Equal(r.Mask.Pix, want)) {
-				batchErr = fmt.Errorf("stream %d frame %d: batched mask differs from unbatched reference", stream, r.Display)
+			if multiErr == nil && (!ok || !bytes.Equal(r.Mask.Pix, want)) {
+				multiErr = fmt.Errorf("stream %d frame %d: multi-stream mask differs from single-stream reference", stream, r.Display)
 			}
 			refMu.Unlock()
 		},
 	}
-	brep, err := bgen.Run(context.Background())
+	mrep, err := mgen.Run(context.Background())
 	if err != nil {
-		return fmt.Errorf("batched loadgen: %w", err)
+		return fmt.Errorf("multi-stream loadgen: %w", err)
 	}
-	if err := bsrv.Close(sdCtx); err != nil {
-		return fmt.Errorf("batched drain: %w", err)
+	if err := msrv.Close(sdCtx); err != nil {
+		return fmt.Errorf("multi-stream drain: %w", err)
 	}
-	if batchErr != nil {
-		return batchErr
+	if multiErr != nil {
+		return multiErr
 	}
-	if brep.Admitted != 4 || brep.Frames != 4*2*16 {
-		return fmt.Errorf("batched leg served %d frames over %d streams, want 128 over 4", brep.Frames, brep.Admitted)
-	}
-	if bcfg.NNS != nil {
-		bsnap := bcfg.Obs.Snapshot()
-		if bsnap.Counters[obs.CounterBatchItems.String()] == 0 {
-			return fmt.Errorf("batched leg recorded no batch-items counter: %v", bsnap.Counters)
-		}
-		if bsnap.Hist(obs.HistBatchOccupancy.String()) == nil {
-			return fmt.Errorf("batched leg recorded no batch-occupancy histogram")
-		}
+	if mrep.Admitted != 4 || mrep.Frames != 4*2*16 {
+		return fmt.Errorf("multi-stream leg served %d frames over %d streams, want 128 over 4", mrep.Frames, mrep.Admitted)
 	}
 
 	// Leg 5 (only under -quant): the int8 tier with residual-driven

@@ -12,7 +12,7 @@ import (
 // out of the serving core's transitive imports, so the serving core's real
 // size stays visible and a served frame can never depend on them.
 func TestServingCoreImportFence(t *testing.T) {
-	core := []string{"core", "segment", "nn", "tensor", "serve", "batch", "contentcache", "qos", "shard"}
+	core := []string{"core", "segment", "nn", "tensor", "serve", "contentcache", "qos", "shard"}
 	fenced := func(pkg string) bool {
 		return pkg == "flow" || pkg == "baseline" || pkg == "experiments" || pkg == "sim" || strings.HasPrefix(pkg, "sim/")
 	}

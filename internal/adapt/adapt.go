@@ -17,8 +17,8 @@
 // Three rules keep the tier safe, in priority order:
 //
 //  1. Training never delays a frame. The trainer is a single background
-//     goroutine gated on the serving scheduler's idleness signal (the same
-//     occupancy the PR-5 batching Stalled hook reads); it takes short
+//     goroutine gated on the serving scheduler's idleness signal (no frame
+//     pending, no session waiting for a worker); it takes short
 //     bounded step bursts and re-checks idleness before every step and
 //     every promotion evaluation.
 //  2. Serving weights only improve. A candidate is promoted only when it

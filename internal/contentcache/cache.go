@@ -18,8 +18,9 @@
 // viewers of the same content march in lockstep, so without this every
 // viewer would compute every frame concurrently and nothing would be
 // saved). A fill commits only from a cleanly completed engine step; a
-// failed step abandons it, waking waiters to compute locally — a poisoned
-// session can never publish a mask it did not finish computing.
+// failed step abandons it, waking waiters to compute locally (one of them
+// re-claims the fill) — a poisoned session can never publish a mask it did
+// not finish computing.
 //
 // Eviction is LRU by popularity under a byte budget: every hit front-moves
 // the entry, so hot content stays resident and the budget evicts the
@@ -96,8 +97,8 @@ type Config struct {
 	MaxBytes int64
 	// Obs, when non-nil, receives the cache/* counters (hits, misses,
 	// evictions, bytes-saved, fill-aborts) and the cache-entries /
-	// cache-bytes gauges. Typically the server-wide collector, so the
-	// numbers surface in /metrics.
+	// cache-bytes / cache-waiters gauges. Typically the server-wide
+	// collector, so the numbers surface in /metrics.
 	Obs *obs.Collector
 }
 
@@ -193,8 +194,8 @@ func (f *Fill) Commit(m *video.Mask) {
 }
 
 // Abandon invalidates the fill without publishing anything — the step that
-// was computing it failed or was cancelled. Waiters wake and fall back to
-// computing locally. Idempotent against a prior resolution.
+// was computing it failed or was cancelled. Waiters wake into Wait's
+// one-shot re-offer. Idempotent against a prior resolution.
 func (f *Fill) Abandon() {
 	c := f.c
 	c.mu.Lock()
@@ -209,22 +210,41 @@ func (f *Fill) Abandon() {
 	c.obs.Count(obs.CounterCacheFillAborts, 1)
 }
 
-// Wait blocks until the fill resolves or ctx fires. It returns (mask,
-// true) when the fill committed — counted as a hit, since the caller is
-// served without computing — and (nil, false) when the fill was abandoned
-// or the context fired, counted as a miss (the caller computes locally).
-func (f *Fill) Wait(ctx context.Context) (*video.Mask, bool) {
+// Wait blocks until the fill resolves or ctx fires and records exactly one
+// hit or miss for the lookup that led here; while blocked the caller counts
+// on the cache-waiters gauge. A committed fill serves its mask (a hit). A
+// fired context returns neither (a miss: the caller computes locally).
+//
+// An abandoned fill — its owner's step failed before publishing — is
+// re-offered once. Without that the key would stay a permanent miss: later
+// viewers would find neither an entry nor an open fill to join. The
+// re-offer is one Acquire: it serves the entry if another waiter already
+// published it (a hit), hands the caller a new fill to own and resolve
+// (refill, a miss), or, when another waiter claimed it first, returns
+// neither (a miss). It never waits twice, so however many owners die a
+// waiter cannot loop.
+func (f *Fill) Wait(ctx context.Context) (m *video.Mask, refill *Fill) {
+	c := f.c
+	c.obs.GaugeAdd(obs.GaugeCacheWaiters, 1)
+	resolved := false
 	select {
 	case <-f.done:
-		if f.mask != nil {
-			f.c.obs.Count(obs.CounterCacheHits, 1)
-			f.c.obs.Count(obs.CounterCacheBytesSaved, int64(len(f.mask.Pix)))
-			return f.mask, true
-		}
+		resolved = true
 	case <-ctx.Done():
 	}
-	f.c.obs.Count(obs.CounterCacheMisses, 1)
-	return nil, false
+	c.obs.GaugeAdd(obs.GaugeCacheWaiters, -1)
+	switch {
+	case resolved && f.mask != nil:
+		c.obs.Count(obs.CounterCacheHits, 1)
+		c.obs.Count(obs.CounterCacheBytesSaved, int64(len(f.mask.Pix)))
+		return f.mask, nil
+	case resolved:
+		if m, nf, owner := c.Acquire(f.key); m != nil || owner {
+			return m, nf // Acquire recorded the hit or the miss
+		}
+	}
+	c.obs.Count(obs.CounterCacheMisses, 1)
+	return nil, nil
 }
 
 // insertLocked adds (or replaces) an entry and evicts from the LRU tail

@@ -148,33 +148,52 @@ func TestSingleFlightCommit(t *testing.T) {
 }
 
 // TestAbandonWakesWaiters: an abandoned fill (failed step / resync) wakes
-// waiters empty-handed and publishes nothing; the next Acquire claims a
-// fresh fill. Double-resolution is tolerated.
+// waiters empty-handed and publishes nothing; the waiter is re-offered the
+// key and owns the fresh fill. Double-resolution is tolerated, and the
+// waiter's lookup records exactly one outcome — the owner's miss plus the
+// re-offered miss, no hit.
 func TestAbandonWakesWaiters(t *testing.T) {
 	col := obs.New()
 	c := New(Config{MaxBytes: 1 << 20, Obs: col})
 	k := Key{Content: 2}
 	_, f, _ := c.Acquire(k)
 	_, wf, _ := c.Acquire(k)
-	done := make(chan bool, 1)
+	type waited struct {
+		m      *video.Mask
+		refill *Fill
+	}
+	done := make(chan waited, 1)
 	go func() {
-		m, ok := wf.Wait(context.Background())
-		done <- ok || m != nil
+		m, refill := wf.Wait(context.Background())
+		done <- waited{m, refill}
 	}()
 	f.Abandon()
 	f.Abandon() // idempotent
 	f.Commit(mask(4, 4, 1))
-	if served := <-done; served {
+	w := <-done
+	if w.m != nil {
 		t.Fatal("waiter served from an abandoned fill")
+	}
+	if w.refill == nil {
+		t.Fatal("waiter was not re-offered the abandoned key")
 	}
 	if c.Contains(k) {
 		t.Fatal("abandoned (then spuriously committed) fill published an entry")
 	}
-	if aborts := col.Snapshot().Counters[obs.CounterCacheFillAborts.String()]; aborts != 1 {
+	snap := col.Snapshot()
+	if aborts := snap.Counters[obs.CounterCacheFillAborts.String()]; aborts != 1 {
 		t.Fatalf("fill-aborts = %d, want 1", aborts)
 	}
-	if _, _, owner := c.Acquire(k); !owner {
-		t.Fatal("key must be fillable again after abandon")
+	hits, misses := snap.Counters[obs.CounterCacheHits.String()], snap.Counters[obs.CounterCacheMisses.String()]
+	if hits != 0 || misses != 2 {
+		t.Fatalf("hits/misses = %d/%d, want 0/2 (one outcome per lookup)", hits, misses)
+	}
+	if _, _, owner := c.Acquire(k); owner {
+		t.Fatal("re-offered fill must stay claimed until its owner resolves it")
+	}
+	w.refill.Commit(mask(4, 4, 1))
+	if !c.Contains(k) {
+		t.Fatal("re-offered fill did not publish")
 	}
 }
 
@@ -188,7 +207,7 @@ func TestWaitContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if m, ok := wf.Wait(ctx); ok || m != nil {
+	if m, refill := wf.Wait(ctx); refill != nil || m != nil {
 		t.Fatal("cancelled wait must report a miss")
 	}
 	if time.Since(start) > time.Second {

@@ -13,8 +13,9 @@ import (
 // commits while other goroutines Wait on open fills of the same keys.
 // Designed for -race. Invariants checked:
 //
-//   - a Wait that reports ok always carries a non-nil mask with the
-//     committed content, even if the entry was evicted again immediately;
+//   - a Wait returns a mask or a re-offered fill, never both, and a mask
+//     carries the committed content even if the entry was evicted again
+//     immediately;
 //   - the fill table drains: once all workers stop, no key has a stale
 //     single-flight ticket;
 //   - byte accounting stays consistent with the resident entries.
@@ -28,7 +29,7 @@ func TestEvictionRacesFill(t *testing.T) {
 	// Budget ~4 masks: nearly every commit evicts something.
 	c := New(Config{MaxBytes: 4 * (int64(w*h) + entryOverhead)})
 
-	var wrongMask, nilOnOK atomic.Int64
+	var wrongMask, maskAndFill atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -52,13 +53,14 @@ func TestEvictionRacesFill(t *testing.T) {
 					}
 					f.Commit(mask(w, h, fill))
 				default:
-					got, ok := f.Wait(ctx)
-					if ok {
-						if got == nil {
-							nilOnOK.Add(1)
-						} else if got.Pix[0] != fill {
-							wrongMask.Add(1)
-						}
+					got, refill := f.Wait(ctx)
+					switch {
+					case got != nil && refill != nil:
+						maskAndFill.Add(1)
+					case got != nil && got.Pix[0] != fill:
+						wrongMask.Add(1)
+					case refill != nil:
+						refill.Commit(mask(w, h, fill))
 					}
 				}
 			}
@@ -66,8 +68,8 @@ func TestEvictionRacesFill(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := nilOnOK.Load(); n != 0 {
-		t.Errorf("%d Waits reported ok with a nil mask", n)
+	if n := maskAndFill.Load(); n != 0 {
+		t.Errorf("%d Waits returned both a mask and a fill", n)
 	}
 	if n := wrongMask.Load(); n != 0 {
 		t.Errorf("%d masks carried the wrong content", n)

@@ -19,16 +19,17 @@ import (
 type StepSelector func(codec.FrameInfo) qos.Step
 
 // PendingNN is the NN half of one engine step, split off by StepPrepare so
-// a scheduler can route it through a cross-stream batching engine instead
-// of executing it inline. It carries exactly one of two kinds of work,
-// mirroring the paper's two networks:
+// a caller can run work between the decode side and the network — the
+// serving layer consults its content cache and QoS ladder there, the
+// overlapped driver hands B-frame work to its refinement workers. It
+// carries exactly one of two kinds of work, mirroring the paper's two
+// networks:
 //
 //   - anchor (I/P): an NN-L segmentation of the decoded frame;
 //   - B-frame: an NN-S refinement of the MV-reconstructed mask between its
 //     flanking anchor segmentations.
 //
 // The holder must finish the step by calling Finish with the computed mask
-// (however it was computed — inline, or as one lane of a fused batch)
 // before the next StepPrepare on the same engine. A PendingNN borrows the
 // engine's state and is not safe to retain past Finish.
 //
@@ -70,39 +71,12 @@ type PendingNN struct {
 // B-frames promoted to the ladder's full rung.
 func (pn *PendingNN) IsAnchor() bool { return pn.frame != nil }
 
-// FallbackMask computes the ladder's next-cheaper result for NN-S work
-// without running the network (a deadline overrun while queued in a
-// batcher): the raw MV reconstruction — for residual-skip crops, the
-// full-frame base the refined crop would have been composited over. It
-// returns nil for NN-L work, which is never degraded after the fact.
-func (pn *PendingNN) FallbackMask() *video.Mask {
-	switch {
-	case pn.base != nil:
-		return pn.base
-	case pn.rec != nil:
-		return pn.rec.Binary()
-	}
-	return nil
-}
-
-// Display returns the display index of the frame under work.
-func (pn *PendingNN) Display() int { return pn.mo.Display }
-
-// FrameType returns the coded type of the frame under work.
-func (pn *PendingNN) FrameType() codec.FrameType { return pn.mo.Type }
-
 // Frame returns the decoded anchor frame (nil for B-frame work).
 func (pn *PendingNN) Frame() *video.Frame { return pn.frame }
 
-// RefineInputs returns the NN-S sandwich inputs (all nil for anchor work).
-func (pn *PendingNN) RefineInputs() (prev *video.Mask, rec *segment.ReconMask, next *video.Mask) {
-	return pn.prev, pn.rec, pn.next
-}
-
 // ExecuteLocal computes the pending mask inline on the caller's goroutine
 // with the engine's own models, recording the same nn-l/refine spans as the
-// fused serial loop. StepFunc is built on it; a scheduler uses it as the
-// unbatched fallback.
+// fused serial loop. StepFunc and the serving layer are built on it.
 func (pn *PendingNN) ExecuteLocal() *video.Mask { return pn.execute(pn.e.refiner) }
 
 // execute is ExecuteLocal with the refiner chosen by the caller: the
@@ -193,9 +167,7 @@ func (e *StreamEngine) finishStep() {
 // selector.
 //
 // StepFunc(ctx, sel) is equivalent to StepPrepare followed by
-// pending.Finish(pending.ExecuteLocal()) — the serving layer swaps
-// ExecuteLocal for a batched execution and everything else stays shared,
-// which is what makes batched output bit-identical by construction.
+// pending.Finish(pending.ExecuteLocal()).
 func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *MaskOut, pending *PendingNN, err error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {

@@ -64,11 +64,10 @@ type StreamingPipeline struct {
 // serves the int8 tier, their quantized compilation). The swap is
 // copy-on-write: engines construct their refiner from these fields at
 // NewEngine time (cloning whenever the pipeline is observed or shared), so
-// an engine already running — and any batched items in flight through it —
-// finishes on the weights it started with, and the new weights take effect
-// at the next engine construction. Callers must serialize SetRefineNet with
-// NewEngine; the serving layer does so by swapping only at chunk
-// boundaries, on the session's worker.
+// an engine already running finishes on the weights it started with, and
+// the new weights take effect at the next engine construction. Callers
+// must serialize SetRefineNet with NewEngine; the serving layer does so by
+// swapping only at chunk boundaries, on the session's worker.
 //
 // A nil quant clears the int8 tier, reverting the pipeline to float
 // refinement — callers promoting adapted weights into a quantized session

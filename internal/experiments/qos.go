@@ -38,12 +38,11 @@ type QoSRow struct {
 	// at FreeBias of the premium pressure, so their quality decays first.
 	PremiumIoU float64 `json:"premiumIoU"`
 	FreeIoU    float64 `json:"freeIoU"`
-	// Ladder-step counters (server-wide) and deadline retractions.
-	StepFull         int64 `json:"stepFull"`
-	StepRefine       int64 `json:"stepRefine"`
-	StepRecon        int64 `json:"stepRecon"`
-	StepSkip         int64 `json:"stepSkip"`
-	DeadlineOverruns int64 `json:"deadlineOverruns"`
+	// Ladder-step counters (server-wide).
+	StepFull   int64 `json:"stepFull"`
+	StepRefine int64 `json:"stepRefine"`
+	StepRecon  int64 `json:"stepRecon"`
+	StepSkip   int64 `json:"stepSkip"`
 }
 
 // qosSweep is the arrival-interval axis, fastest last. The spread is wide
@@ -94,7 +93,6 @@ func (h *Harness) QoSFigure() ([]QoSRow, error) {
 				return h.nnlFor(v, "NN-L(FAVOS)", h.Cfg.FAVOSNoise, 3)
 			},
 			Policy:      serve.Wait,
-			MaxBatch:    4,
 			FrameBudget: 2 * time.Second,
 			QoS:         &ladder,
 			Obs:         col,
@@ -153,23 +151,22 @@ func (h *Harness) QoSFigure() ([]QoSRow, error) {
 			mean = (sums[qos.ClassPremium] + sums[qos.ClassFree]) / float64(n)
 		}
 		rows = append(rows, QoSRow{
-			IntervalMS:       ms(interval),
-			Streams:          streams,
-			Frames:           rep.Frames,
-			Dropped:          rep.Dropped,
-			FPS:              rep.FPS,
-			P50MS:            ms(rep.P50),
-			P95MS:            ms(rep.P95),
-			P99MS:            ms(rep.P99),
-			BackoffMS:        ms(rep.Backoff),
-			MeanIoU:          mean,
-			PremiumIoU:       meanOf(qos.ClassPremium),
-			FreeIoU:          meanOf(qos.ClassFree),
-			StepFull:         snap.Counters[obs.CounterQoSFull.String()],
-			StepRefine:       snap.Counters[obs.CounterQoSRefine.String()],
-			StepRecon:        snap.Counters[obs.CounterQoSRecon.String()],
-			StepSkip:         snap.Counters[obs.CounterQoSSkip.String()],
-			DeadlineOverruns: snap.Counters[obs.CounterQoSDeadlineOverruns.String()],
+			IntervalMS: ms(interval),
+			Streams:    streams,
+			Frames:     rep.Frames,
+			Dropped:    rep.Dropped,
+			FPS:        rep.FPS,
+			P50MS:      ms(rep.P50),
+			P95MS:      ms(rep.P95),
+			P99MS:      ms(rep.P99),
+			BackoffMS:  ms(rep.Backoff),
+			MeanIoU:    mean,
+			PremiumIoU: meanOf(qos.ClassPremium),
+			FreeIoU:    meanOf(qos.ClassFree),
+			StepFull:   snap.Counters[obs.CounterQoSFull.String()],
+			StepRefine: snap.Counters[obs.CounterQoSRefine.String()],
+			StepRecon:  snap.Counters[obs.CounterQoSRecon.String()],
+			StepSkip:   snap.Counters[obs.CounterQoSSkip.String()],
 		})
 	}
 	return rows, nil

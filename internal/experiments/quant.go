@@ -16,7 +16,7 @@ import (
 )
 
 // QuantRow is one serving run of the quant figure: 8 concurrent streams
-// through the batched serving layer on one execution path, with accuracy
+// through the serving layer on one execution path, with accuracy
 // against ground truth and the residual-skip counters alongside the
 // throughput numbers. DeltaF is relative to the float row (positive =
 // the path lost accuracy), the quantity the tier's ≤ 0.5-point gate is
@@ -24,7 +24,6 @@ import (
 type QuantRow struct {
 	Path          string  `json:"path"` // float | int8 | int8+skip
 	Streams       int     `json:"streams"`
-	MaxBatch      int     `json:"maxBatch"`
 	Frames        int     `json:"frames"`
 	FPS           float64 `json:"fps"`
 	P50MS         float64 `json:"p50Ms"`
@@ -32,8 +31,6 @@ type QuantRow struct {
 	P99MS         float64 `json:"p99Ms"`
 	FScore        float64 `json:"fScore"` // mean B-frame F vs ground truth
 	DeltaF        float64 `json:"deltaF"` // float-row F minus this row's F
-	MeanOccupancy float64 `json:"meanOccupancy"`
-	Items         int64   `json:"items"`
 	BlocksSkipped int64   `json:"blocksSkipped"`
 	BlocksDirty   int64   `json:"blocksDirty"`
 	SkipRate      float64 `json:"skipRate"`      // skipped / (skipped + dirty)
@@ -97,11 +94,11 @@ func (h *Harness) QuantNNS() (*nn.QuantRefineNet, error) {
 }
 
 // Quant is the int8-tier figure: kernel-level float-vs-int8 rates plus an
-// 8-stream serving comparison of the three execution paths — float
-// batched (the PR-5 baseline), int8 batched, and int8 batched with
-// residual-driven block skipping. Masks on the float and int8 paths are
-// compared through ground-truth F-score, not bit-identity: quantization
-// is an approximation and its contract is the ≤ 0.5-point DeltaF gate.
+// 8-stream serving comparison of the three execution paths — float, int8,
+// and int8 with residual-driven block skipping. Masks on the float and
+// int8 paths are compared through ground-truth F-score, not bit-identity:
+// quantization is an approximation and its contract is the ≤ 0.5-point
+// DeltaF gate.
 func (h *Harness) Quant() (*QuantReport, error) {
 	kernels, err := h.measureQuantKernels()
 	if err != nil {
@@ -129,7 +126,7 @@ func (h *Harness) Quant() (*QuantReport, error) {
 		{"int8+skip", true, true},
 	}
 	for _, p := range paths {
-		row, err := h.quantServeRow(p.name, 8, 8, q, p.quant, p.skip)
+		row, err := h.quantServeRow(p.name, 8, q, p.quant, p.skip)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +191,7 @@ func (h *Harness) measureQuantKernels() (QuantKernels, error) {
 
 // quantServeRow runs one 8-stream serving leg on the chosen path and
 // scores its B-frame masks against each stream's ground truth.
-func (h *Harness) quantServeRow(path string, streams, mb int, q *nn.QuantRefineNet, quant, skip bool) (QuantRow, error) {
+func (h *Harness) quantServeRow(path string, streams int, q *nn.QuantRefineNet, quant, skip bool) (QuantRow, error) {
 	suite := h.Suite()
 	nns, err := h.NNS()
 	if err != nil {
@@ -205,7 +202,6 @@ func (h *Harness) quantServeRow(path string, streams, mb int, q *nn.QuantRefineN
 	col := obs.New()
 	cfg := serve.Config{
 		MaxSessions: streams,
-		MaxBatch:    mb,
 		NNS:         nns,
 		Obs:         col,
 		NewSegmenter: func(id string) segment.Segmenter {
@@ -258,23 +254,18 @@ func (h *Harness) quantServeRow(path string, streams, mb int, q *nn.QuantRefineN
 		return QuantRow{}, err
 	}
 	row := QuantRow{
-		Path:     path,
-		Streams:  streams,
-		MaxBatch: mb,
-		Frames:   rep.Frames,
-		FPS:      rep.FPS,
-		P50MS:    ms(rep.P50),
-		P95MS:    ms(rep.P95),
-		P99MS:    ms(rep.P99),
+		Path:    path,
+		Streams: streams,
+		Frames:  rep.Frames,
+		FPS:     rep.FPS,
+		P50MS:   ms(rep.P50),
+		P95MS:   ms(rep.P95),
+		P99MS:   ms(rep.P99),
 	}
 	if fN > 0 {
 		row.FScore = fSum / float64(fN)
 	}
 	snap := col.Snapshot()
-	if occ := snap.Hist(obs.HistBatchOccupancy.String()); occ != nil {
-		row.MeanOccupancy = occ.Mean
-	}
-	row.Items = snap.Counters[obs.CounterBatchItems.String()]
 	row.BlocksSkipped = snap.Counters[obs.CounterQuantBlocksSkipped.String()]
 	row.BlocksDirty = snap.Counters[obs.CounterQuantBlocksDirty.String()]
 	if t := row.BlocksSkipped + row.BlocksDirty; t > 0 {

@@ -8,14 +8,13 @@ import (
 	"vrdann/internal/tensor"
 )
 
-// Batched inference path. The serving layer's dynamic batching engine
-// coalesces NN work from many streams into one fused execution per layer —
-// the software reading of the paper's agent unit, which reorders work to
-// minimize NN-L/NN-S kernel switching. A batch of n CHW items is packed
-// item-major into one wide tensor ([n*C, H, W]); convolutions lower the
-// whole batch into a single column-concatenated patch matrix and run ONE
-// MatMul per layer, and the channel-independent layers (pool, upsample,
-// ReLU) treat the wide tensor as just more channels.
+// Batched inference path: the one inference forward of NN-S
+// (segment.Refiner runs every refinement through it, a single frame as a
+// batch of one). A batch of n CHW items is packed item-major into one wide
+// tensor ([n*C, H, W]); convolutions lower the whole batch into a single
+// column-concatenated patch matrix and run ONE MatMul per layer, and the
+// channel-independent layers (pool, upsample, ReLU) treat the wide tensor
+// as just more channels.
 //
 // Two invariants carry the whole design:
 //

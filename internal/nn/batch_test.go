@@ -18,8 +18,8 @@ func randTensor(rng *rand.Rand, shape ...int) *tensor.Tensor {
 }
 
 // TestConvForwardBatchBitIdentical pins Conv2D.ForwardBatch to n serial
-// Forward calls bitwise, across batch sizes — the invariant the dynamic
-// batching engine relies on.
+// Forward calls bitwise, across batch sizes — the invariant
+// segment.Refiner.RefineBatch relies on.
 func TestConvForwardBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	conv := NewConv2D(rng, 3, 4, 3, 1, 1)

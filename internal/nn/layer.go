@@ -9,8 +9,6 @@
 package nn
 
 import (
-	"math"
-
 	"vrdann/internal/par"
 	"vrdann/internal/tensor"
 )
@@ -87,43 +85,3 @@ func (r *ReLU) MACs() int64 { return 0 }
 
 // Name implements Layer.
 func (r *ReLU) Name() string { return "relu" }
-
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	out *tensor.Tensor
-}
-
-// NewSigmoid returns a Sigmoid activation layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	s.out = out
-	return out
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape...)
-	for i, g := range grad.Data {
-		y := s.out.Data[i]
-		out.Data[i] = g * y * (1 - y)
-	}
-	return out
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (s *Sigmoid) Grads() []*tensor.Tensor { return nil }
-
-// MACs implements Layer.
-func (s *Sigmoid) MACs() int64 { return 0 }
-
-// Name implements Layer.
-func (s *Sigmoid) Name() string { return "sigmoid" }

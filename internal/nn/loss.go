@@ -27,18 +27,3 @@ func BCEWithLogits(logits, target *tensor.Tensor) (loss float64, grad *tensor.Te
 	}
 	return loss / n, grad
 }
-
-// MSE computes the mean squared error and its gradient with respect to pred.
-func MSE(pred, target *tensor.Tensor) (loss float64, grad *tensor.Tensor) {
-	if !pred.SameShape(target) {
-		panic(fmt.Sprintf("nn: MSE shape mismatch %v vs %v", pred.Shape, target.Shape))
-	}
-	n := float64(pred.Numel())
-	grad = tensor.New(pred.Shape...)
-	for i := range pred.Data {
-		d := float64(pred.Data[i]) - float64(target.Data[i])
-		loss += d * d
-		grad.Data[i] = float32(2 * d / n)
-	}
-	return loss / n, grad
-}

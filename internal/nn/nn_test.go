@@ -9,15 +9,28 @@ import (
 	"vrdann/internal/tensor"
 )
 
+// binaryTarget draws a random {0,1} target of the given shape, the label
+// alphabet BCEWithLogits is written for.
+func binaryTarget(rng *rand.Rand, shape ...int) *tensor.Tensor {
+	t := tensor.Randn(rng, 1, shape...)
+	t.ApplyInPlace(func(v float32) float32 {
+		if v > 0 {
+			return 1
+		}
+		return 0
+	})
+	return t
+}
+
 // numericGrad estimates dLoss/dParam[i] by central differences, where loss
-// is MSE(net(x), target).
+// is BCEWithLogits(net(x), target).
 func numericGrad(net Layer, x, target *tensor.Tensor, p *tensor.Tensor, i int) float64 {
 	const eps = 1e-3
 	orig := p.Data[i]
 	p.Data[i] = orig + eps
-	lp, _ := MSE(net.Forward(x), target)
+	lp, _ := BCEWithLogits(net.Forward(x), target)
 	p.Data[i] = orig - eps
-	lm, _ := MSE(net.Forward(x), target)
+	lm, _ := BCEWithLogits(net.Forward(x), target)
 	p.Data[i] = orig
 	return (lp - lm) / (2 * eps)
 }
@@ -25,7 +38,7 @@ func numericGrad(net Layer, x, target *tensor.Tensor, p *tensor.Tensor, i int) f
 func checkGradients(t *testing.T, net Layer, x, target *tensor.Tensor, samples int, tol float64) {
 	t.Helper()
 	out := net.Forward(x)
-	_, grad := MSE(out, target)
+	_, grad := BCEWithLogits(out, target)
 	net.Backward(grad)
 	params, grads := net.Params(), net.Grads()
 	rng := rand.New(rand.NewSource(7))
@@ -72,7 +85,7 @@ func TestConv2DGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := NewSequential(NewConv2D(rng, 2, 3, 3, 1, 1))
 	x := tensor.Randn(rng, 1, 2, 5, 5)
-	target := tensor.Randn(rng, 1, 3, 5, 5)
+	target := binaryTarget(rng, 3, 5, 5)
 	checkGradients(t, net, x, target, 10, 1e-2)
 }
 
@@ -80,18 +93,18 @@ func TestConv2DInputGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	conv := NewConv2D(rng, 1, 2, 3, 1, 1)
 	x := tensor.Randn(rng, 1, 1, 4, 4)
-	target := tensor.Randn(rng, 1, 2, 4, 4)
+	target := binaryTarget(rng, 2, 4, 4)
 	out := conv.Forward(x)
-	_, g := MSE(out, target)
+	_, g := BCEWithLogits(out, target)
 	gin := conv.Backward(g)
 	// Numeric check on a few input elements.
 	const eps = 1e-3
 	for _, i := range []int{0, 5, 15} {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp, _ := MSE(conv.Forward(x), target)
+		lp, _ := BCEWithLogits(conv.Forward(x), target)
 		x.Data[i] = orig - eps
-		lm, _ := MSE(conv.Forward(x), target)
+		lm, _ := BCEWithLogits(conv.Forward(x), target)
 		x.Data[i] = orig
 		want := (lp - lm) / (2 * eps)
 		if math.Abs(want-float64(gin.Data[i])) > 1e-2*(1+math.Abs(want)) {
@@ -110,15 +123,6 @@ func TestReLU(t *testing.T) {
 	g := r.Backward(tensor.Full(1, 1, 2, 2))
 	if g.Data[0] != 0 || g.Data[1] != 1 || g.Data[2] != 0 {
 		t.Fatalf("relu backward %v", g.Data)
-	}
-}
-
-func TestSigmoidRange(t *testing.T) {
-	s := NewSigmoid()
-	x := tensor.FromSlice([]float32{-100, 0, 100}, 1, 1, 3)
-	y := s.Forward(x)
-	if y.Data[0] > 1e-6 || math.Abs(float64(y.Data[1])-0.5) > 1e-6 || y.Data[2] < 1-1e-6 {
-		t.Fatalf("sigmoid %v", y.Data)
 	}
 }
 
@@ -190,7 +194,7 @@ func TestRefineNetShapesAndGradient(t *testing.T) {
 	if y.Shape[0] != 1 || y.Shape[1] != 8 || y.Shape[2] != 8 {
 		t.Fatalf("refinenet output shape %v", y.Shape)
 	}
-	target := tensor.Randn(rng, 1, 1, 8, 8)
+	target := binaryTarget(rng, 1, 8, 8)
 	checkGradients(t, net, x, target, 6, 2e-2)
 }
 
@@ -262,18 +266,6 @@ func TestBCEWithLogitsStableAndCorrect(t *testing.T) {
 	}
 	if math.IsNaN(float64(grad.Data[1])) || math.IsNaN(float64(grad.Data[2])) {
 		t.Fatal("gradient NaN for extreme logits")
-	}
-}
-
-func TestMSE(t *testing.T) {
-	p := tensor.FromSlice([]float32{1, 2}, 2)
-	q := tensor.FromSlice([]float32{0, 0}, 2)
-	loss, grad := MSE(p, q)
-	if loss != 2.5 {
-		t.Fatalf("MSE = %v, want 2.5", loss)
-	}
-	if grad.Data[0] != 1 || grad.Data[1] != 2 {
-		t.Fatalf("MSE grad = %v", grad.Data)
 	}
 }
 

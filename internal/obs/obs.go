@@ -48,11 +48,9 @@ const (
 	StageNNSConv1                  // NN-S conv layers (per-layer timing)
 	StageNNSConv2
 	StageNNSConv3
-	StageEmit      // result emission / decode-order coalescing
-	StageServe     // serving layer: chunk arrival -> frame result (includes queueing)
-	StageBatchWait // batching engine: item enqueue -> flush start (queue delay)
-	StageBatchNNS  // batching engine: one fused NN-S flush
-	StageMigrate   // shard gateway: one live session migration (drain -> re-admit)
+	StageEmit    // result emission / decode-order coalescing
+	StageServe   // serving layer: chunk arrival -> frame result (includes queueing)
+	StageMigrate // shard gateway: one live session migration (drain -> re-admit)
 
 	// NumStages bounds the Stage enum; keep it last.
 	NumStages
@@ -70,8 +68,6 @@ var stageNames = [NumStages]string{
 	"nn-s/conv3",
 	"emit",
 	"serve/frame",
-	"batch/wait",
-	"batch/nn-s",
 	"shard/migrate",
 }
 
@@ -95,15 +91,14 @@ const (
 	GaugeRefWindow                     // reference segmentations held in the window
 	GaugeSessions                      // serving layer: admitted sessions
 	GaugePending                       // serving layer: frames queued but not yet served
-	GaugeBatchQueue                    // batching engine: items enqueued but not yet flushed
 	GaugeCacheEntries                  // content cache: entries resident
 	GaugeCacheBytes                    // content cache: bytes resident
+	GaugeCacheWaiters                  // content cache: lookups blocked waiting on another session's fill
 	GaugeBroadcastViewers              // broadcast mode: viewers attached across all broadcasts
 	GaugeNodes                         // shard gateway: backends registered on the ring
 	GaugeNodesHealthy                  // shard gateway: backends currently routable (healthy, breaker closed)
 	GaugeGateSessions                  // shard gateway: client sessions tracked by the gateway
 	GaugeQoSPressure                   // qos ladder: smoothed load pressure, in thousandths
-	GaugeQoSBatchWidth                 // qos ladder: controller-set effective batch width
 	GaugeAdaptDriftF                   // adaptation: rolling refined-vs-anchor F-score, in thousandths
 	GaugeAdaptLoss                     // adaptation: last fine-tune BCE loss, in thousandths
 	GaugeAdaptVersion                  // adaptation: serving weights version (0 = base model)
@@ -119,15 +114,14 @@ var gaugeNames = [NumGauges]string{
 	"ref-window",
 	"sessions",
 	"pending-frames",
-	"batch-queue",
 	"cache-entries",
 	"cache-bytes",
+	"cache-waiters",
 	"broadcast-viewers",
 	"nodes",
 	"nodes-healthy",
 	"gate-sessions",
 	"qos/pressure-milli",
-	"qos/batch-width",
 	"adapt/drift-f-milli",
 	"adapt/loss-milli",
 	"adapt/weights-version",
@@ -146,45 +140,44 @@ type Counter uint8
 
 // Pipeline counters.
 const (
-	CounterFrames              Counter = iota // frames decoded
-	CounterAnchors                            // I/P-frames decoded
-	CounterBFrames                            // B-frames decoded
-	CounterMVs                                // motion vectors extracted
-	CounterSpans                              // spans recorded (all stages)
-	CounterChunks                             // serving layer: bitstream chunks accepted
-	CounterDrops                              // serving layer: B-frames dropped past deadline
-	CounterRejects                            // serving layer: admission + queue rejections
-	CounterDecodeErrors                       // serving layer: chunks failed mid-serve (malformed or internal)
-	CounterResyncs                            // serving layer: sessions quarantined and resynced on the next chunk
-	CounterBreakerTrips                       // serving layer: per-session circuit-breaker trips
-	CounterBatchItems                         // batching engine: items executed through fused flushes
-	CounterBatchFlushFull                     // batching engine: flushes triggered by a full batch
-	CounterBatchFlushTimer                    // batching engine: flushes triggered by the MaxWait deadline
-	CounterBatchFlushDrain                    // batching engine: flushes triggered by engine shutdown
-	CounterBatchFlushStall                    // batching engine: flushes triggered by producer stall (no more work can arrive)
-	CounterQuantBlocksSkipped                 // residual skip: B-frame blocks whose NN-S refinement was elided
-	CounterQuantBlocksDirty                   // residual skip: B-frame blocks that kept NN-S refinement
-	CounterQuantBlocksUnknown                 // residual skip: blocks with no usable energy field (pre-field bitstreams)
-	CounterCacheHits                          // content cache: masks served from the shared cache
-	CounterCacheMisses                        // content cache: lookups that had to compute
-	CounterCacheEvictions                     // content cache: entries evicted by the byte budget
-	CounterCacheBytesSaved                    // content cache: mask bytes served without recomputation
-	CounterCacheFillAborts                    // content cache: in-flight fills invalidated by a failed step
-	CounterBroadcastFrames                    // broadcast mode: frames fanned out to attached viewers
-	CounterMigrations                         // shard gateway: sessions live-migrated to another backend
-	CounterRebalances                         // shard gateway: migrations caused by ring-ownership change (scale up/down)
-	CounterNodeBreakerTrips                   // shard gateway: node-level circuit-breaker trips
-	CounterProxyErrors                        // shard gateway: backend requests that failed at node granularity
-	CounterQoSFull                            // qos ladder: B-frames promoted to full NN-L re-segmentation
-	CounterQoSRefine                          // qos ladder: B-frames served on the NN-S refinement rung
-	CounterQoSRecon                           // qos ladder: B-frames degraded to raw MV reconstruction (no NN)
-	CounterQoSSkip                            // qos ladder: B-frames shed (ladder decision or frame budget)
-	CounterQoSDeadlineOverruns                // qos ladder: batched items retracted to reconstruction after aging out past FrameBudget
-	CounterAdaptExamples                      // adaptation: pseudo-label examples harvested from NN-L anchors
-	CounterAdaptSteps                         // adaptation: background fine-tune steps executed
-	CounterAdaptBadGrads                      // adaptation: optimizer updates skipped on non-finite gradients
-	CounterAdaptPromotions                    // adaptation: candidate weights promoted into serving
-	CounterAdaptRollbacks                     // adaptation: promotions reverted after a drift regression
+	CounterFrames             Counter = iota // frames decoded
+	CounterAnchors                           // I/P-frames decoded
+	CounterBFrames                           // B-frames decoded
+	CounterMVs                               // motion vectors extracted
+	CounterSpans                             // spans recorded (all stages)
+	CounterChunks                            // serving layer: bitstream chunks accepted
+	CounterDrops                             // serving layer: B-frames dropped past deadline
+	CounterRejects                           // serving layer: admission + queue rejections
+	CounterDecodeErrors                      // serving layer: chunks failed mid-serve (malformed or internal)
+	CounterResyncs                           // serving layer: sessions quarantined and resynced on the next chunk
+	CounterBreakerTrips                      // serving layer: per-session circuit-breaker trips
+	CounterBatchItems                        // deprecated: nothing increments it; kept because bench/fleet.go reads it
+	CounterBatchFlushFull                    // deprecated: as CounterBatchItems
+	CounterBatchFlushTimer                   // deprecated: as CounterBatchItems
+	CounterBatchFlushDrain                   // deprecated: as CounterBatchItems
+	CounterBatchFlushStall                   // deprecated: as CounterBatchItems
+	CounterQuantBlocksSkipped                // residual skip: B-frame blocks whose NN-S refinement was elided
+	CounterQuantBlocksDirty                  // residual skip: B-frame blocks that kept NN-S refinement
+	CounterQuantBlocksUnknown                // residual skip: blocks with no usable energy field (pre-field bitstreams)
+	CounterCacheHits                         // content cache: masks served from the shared cache
+	CounterCacheMisses                       // content cache: lookups that had to compute
+	CounterCacheEvictions                    // content cache: entries evicted by the byte budget
+	CounterCacheBytesSaved                   // content cache: mask bytes served without recomputation
+	CounterCacheFillAborts                   // content cache: in-flight fills invalidated by a failed step
+	CounterBroadcastFrames                   // broadcast mode: frames fanned out to attached viewers
+	CounterMigrations                        // shard gateway: sessions live-migrated to another backend
+	CounterRebalances                        // shard gateway: migrations caused by ring-ownership change (scale up/down)
+	CounterNodeBreakerTrips                  // shard gateway: node-level circuit-breaker trips
+	CounterProxyErrors                       // shard gateway: backend requests that failed at node granularity
+	CounterQoSFull                           // qos ladder: B-frames promoted to full NN-L re-segmentation
+	CounterQoSRefine                         // qos ladder: B-frames served on the NN-S refinement rung
+	CounterQoSRecon                          // qos ladder: B-frames degraded to raw MV reconstruction (no NN)
+	CounterQoSSkip                           // qos ladder: B-frames shed (ladder decision or frame budget)
+	CounterAdaptExamples                     // adaptation: pseudo-label examples harvested from NN-L anchors
+	CounterAdaptSteps                        // adaptation: background fine-tune steps executed
+	CounterAdaptBadGrads                     // adaptation: optimizer updates skipped on non-finite gradients
+	CounterAdaptPromotions                   // adaptation: candidate weights promoted into serving
+	CounterAdaptRollbacks                    // adaptation: promotions reverted after a drift regression
 
 	// NumCounters bounds the Counter enum; keep it last.
 	NumCounters
@@ -224,7 +217,6 @@ var counterNames = [NumCounters]string{
 	"qos/refine",
 	"qos/recon",
 	"qos/skip",
-	"qos/deadline-overruns",
 	"adapt/examples",
 	"adapt/train-steps",
 	"adapt/bad-grad-steps",
@@ -236,34 +228,6 @@ var counterNames = [NumCounters]string{
 func (c Counter) String() string {
 	if c < NumCounters {
 		return counterNames[c]
-	}
-	return "unknown"
-}
-
-// Hist identifies one generic value histogram. Unlike stages, which
-// aggregate nanosecond durations, a Hist aggregates arbitrary non-negative
-// integer samples — batch occupancies, queue depths — through the same
-// log2-bucket machinery, so distribution percentiles come for free.
-type Hist uint8
-
-// Value histograms.
-const (
-	HistBatchOccupancy  Hist = iota // items per fused batch flush
-	HistBatchQueueDepth             // per-kind queue depth sampled at enqueue
-
-	// NumHists bounds the Hist enum; keep it last.
-	NumHists
-)
-
-var histNames = [NumHists]string{
-	"batch-occupancy",
-	"batch-queue-depth",
-}
-
-// String returns the histogram's report name.
-func (h Hist) String() string {
-	if h < NumHists {
-		return histNames[h]
 	}
 	return "unknown"
 }
@@ -295,9 +259,7 @@ type Tracer interface {
 // holds durations d with bits.Len64(d) == i, i.e. 2^(i-1) <= d < 2^i.
 const bucketCount = 64
 
-// stageAgg accumulates one log2-bucketed distribution. Stages store
-// nanosecond durations in it; the generic value histograms store raw
-// integer samples — the NS suffixes only name the dominant use.
+// stageAgg accumulates one stage's log2-bucketed duration distribution.
 type stageAgg struct {
 	count   atomic.Int64
 	sumNS   atomic.Int64
@@ -321,7 +283,6 @@ type Collector struct {
 	tracer Tracer
 	stages [NumStages]stageAgg
 	gauges [NumGauges]gaugeAgg
-	hists  [NumHists]stageAgg
 	ctrs   [NumCounters]atomic.Int64
 }
 
@@ -330,9 +291,6 @@ func New() *Collector {
 	c := &Collector{epoch: time.Now()}
 	for i := range c.stages {
 		c.stages[i].minNS.Store(int64(1)<<62 - 1)
-	}
-	for i := range c.hists {
-		c.hists[i].minNS.Store(int64(1)<<62 - 1)
 	}
 	return c
 }
@@ -394,34 +352,6 @@ func (c *Collector) ObserveDur(s Stage, frame int, kind byte, start, d time.Dura
 	c.ctrs[CounterSpans].Add(1)
 	if c.tracer != nil {
 		c.tracer.Span(SpanEvent{Frame: frame, Kind: kind, Stage: s, Start: start, Dur: d})
-	}
-}
-
-// Observe records one sample of a value histogram (negative samples clamp
-// to zero). Like every recording method it is a cheap no-op on a nil
-// collector.
-func (c *Collector) Observe(h Hist, v int64) {
-	if c == nil || h >= NumHists {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	agg := &c.hists[h]
-	agg.count.Add(1)
-	agg.sumNS.Add(v)
-	agg.buckets[bits.Len64(uint64(v))%bucketCount].Add(1)
-	for {
-		m := agg.minNS.Load()
-		if v >= m || agg.minNS.CompareAndSwap(m, v) {
-			break
-		}
-	}
-	for {
-		m := agg.maxNS.Load()
-		if v <= m || agg.maxNS.CompareAndSwap(m, v) {
-			break
-		}
 	}
 }
 

@@ -224,19 +224,18 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestHistBucketEdges pins the log2-bucket behavior of the generic value
-// histogram at the small integers batch occupancy lives at. Bucket i holds
-// values v with bits.Len64(v) == i, the quantile reports the bucket's
-// geometric midpoint (lo + lo/2 for lo = 2^(i-1)), and the report clamps
-// every percentile into the observed [min, max] — so tiny-value histograms
-// still read exactly.
+// TestHistBucketEdges pins the log2-bucket behavior of the stage histogram
+// at its smallest values (single nanoseconds). Bucket i holds values v with
+// bits.Len64(v) == i, the quantile reports the bucket's geometric midpoint
+// (lo + lo/2 for lo = 2^(i-1)), and the report clamps every percentile into
+// the observed [min, max] — so tiny-value histograms still read exactly.
 func TestHistBucketEdges(t *testing.T) {
 	cases := []struct {
 		name       string
 		samples    []int64
 		p50, p99   int64
 		minV, maxV int64
-		mean       float64
+		mean       int64
 	}{
 		// 1 is alone in bucket 1 ([1,2)); its midpoint is exactly 1.
 		{"ones", []int64{1, 1, 1}, 1, 1, 1, 1, 1},
@@ -250,43 +249,47 @@ func TestHistBucketEdges(t *testing.T) {
 		{"eights", []int64{8, 8, 8, 8}, 8, 8, 8, 8, 8},
 		// Mixed: rank-2 of {1,2,3,8} lands in bucket 2 (midpoint 3); p99's
 		// bucket-4 midpoint 12 clamps to the observed max 8.
-		{"mixed", []int64{1, 2, 3, 8}, 3, 8, 1, 8, 3.5},
+		// The integer mean of 14/4 truncates to 3.
+		{"mixed", []int64{1, 2, 3, 8}, 3, 8, 1, 8, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New()
 			for _, v := range tc.samples {
-				c.Observe(HistBatchOccupancy, v)
+				c.ObserveDur(StageNNL, -1, KindNone, 0, time.Duration(v))
 			}
-			h := c.Snapshot().Hist("batch-occupancy")
+			h := c.Snapshot().Stage("nn-l")
 			if h == nil {
-				t.Fatal("batch-occupancy histogram missing from report")
+				t.Fatal("nn-l stage missing from report")
 			}
 			if h.Count != int64(len(tc.samples)) {
 				t.Fatalf("count = %d, want %d", h.Count, len(tc.samples))
 			}
-			if h.P50 != tc.p50 || h.P99 != tc.p99 {
-				t.Fatalf("p50/p99 = %d/%d, want %d/%d", h.P50, h.P99, tc.p50, tc.p99)
+			if h.P50NS != tc.p50 || h.P99NS != tc.p99 {
+				t.Fatalf("p50/p99 = %d/%d, want %d/%d", h.P50NS, h.P99NS, tc.p50, tc.p99)
 			}
-			if h.Min != tc.minV || h.Max != tc.maxV {
-				t.Fatalf("min/max = %d/%d, want %d/%d", h.Min, h.Max, tc.minV, tc.maxV)
+			if h.MinNS != tc.minV || h.MaxNS != tc.maxV {
+				t.Fatalf("min/max = %d/%d, want %d/%d", h.MinNS, h.MaxNS, tc.minV, tc.maxV)
 			}
-			if h.Mean != tc.mean {
-				t.Fatalf("mean = %v, want %v", h.Mean, tc.mean)
+			if h.MeanNS != tc.mean {
+				t.Fatalf("mean = %v, want %v", h.MeanNS, tc.mean)
 			}
-			if h.P50 > h.P95 || h.P95 > h.P99 {
-				t.Fatalf("percentiles not monotonic: %d/%d/%d", h.P50, h.P95, h.P99)
+			if h.P50NS > h.P95NS || h.P95NS > h.P99NS {
+				t.Fatalf("percentiles not monotonic: %d/%d/%d", h.P50NS, h.P95NS, h.P99NS)
 			}
 		})
 	}
 }
 
+// TestHistNilSafetyAndJSON: a stage histogram is a no-op on a nil
+// collector, clamps negative durations to zero, survives a JSON round-trip,
+// and stays out of reports and tables until it has a sample.
 func TestHistNilSafetyAndJSON(t *testing.T) {
 	var nilC *Collector
-	nilC.Observe(HistBatchOccupancy, 4) // must not panic
+	nilC.ObserveDur(StageEmit, -1, KindNone, 0, 4) // must not panic
 	c := New()
-	c.Observe(HistBatchQueueDepth, -5) // clamps to 0
-	c.Observe(HistBatchQueueDepth, 2)
+	c.ObserveDur(StageEmit, -1, KindNone, 0, -5) // clamps to 0
+	c.ObserveDur(StageEmit, -1, KindNone, 0, 2)
 	data, err := json.Marshal(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -295,29 +298,24 @@ func TestHistNilSafetyAndJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	h := back.Hist("batch-queue-depth")
+	h := back.Stage("emit")
 	if h == nil {
-		t.Fatal("batch-queue-depth lost in JSON round-trip")
+		t.Fatal("emit stage lost in JSON round-trip")
 	}
-	if h.Min != 0 || h.Max != 2 || h.Count != 2 {
-		t.Fatalf("hist = %+v, want min 0 max 2 count 2", h)
+	if h.MinNS != 0 || h.MaxNS != 2 || h.Count != 2 {
+		t.Fatalf("stage = %+v, want min 0 max 2 count 2", h)
 	}
-	// Empty histograms stay out of reports and tables.
-	if got := New().Snapshot().Hists; len(got) != 0 {
-		t.Fatalf("empty collector reported hists %+v", got)
+	if got := New().Snapshot().Stages; len(got) != 0 {
+		t.Fatalf("empty collector reported stages %+v", got)
 	}
-	out := c.Snapshot().Table()
-	if !strings.Contains(out, "batch-queue-depth") {
-		t.Fatalf("table missing value histogram:\n%s", out)
+	if out := c.Snapshot().Table(); !strings.Contains(out, "emit") {
+		t.Fatalf("table missing stage:\n%s", out)
 	}
 }
 
 func TestEnumNames(t *testing.T) {
 	if Stage(200).String() != "unknown" || Gauge(200).String() != "unknown" || Counter(200).String() != "unknown" {
 		t.Fatal("out-of-range enums must stringify as unknown")
-	}
-	if Hist(200).String() != "unknown" {
-		t.Fatal("out-of-range Hist must stringify as unknown")
 	}
 	seen := map[string]bool{}
 	for s := Stage(0); s < NumStages; s++ {

@@ -25,20 +25,6 @@ type StageReport struct {
 	Occupancy float64 `json:"occupancy"`
 }
 
-// HistReport is the snapshot of one generic value histogram (dimensionless
-// integer samples, e.g. batch occupancy).
-type HistReport struct {
-	Name  string  `json:"name"`
-	Count int64   `json:"count"`
-	Sum   int64   `json:"sum"`
-	Min   int64   `json:"min"`
-	Max   int64   `json:"max"`
-	Mean  float64 `json:"mean"`
-	P50   int64   `json:"p50"`
-	P95   int64   `json:"p95"`
-	P99   int64   `json:"p99"`
-}
-
 // GaugeReport is the snapshot of one gauge.
 type GaugeReport struct {
 	Name    string `json:"name"`
@@ -51,7 +37,6 @@ type GaugeReport struct {
 type Report struct {
 	ElapsedNS int64            `json:"elapsedNs"`
 	Stages    []StageReport    `json:"stages"`
-	Hists     []HistReport     `json:"hists,omitempty"`
 	Gauges    []GaugeReport    `json:"gauges"`
 	Counters  map[string]int64 `json:"counters"`
 }
@@ -101,33 +86,6 @@ func (c *Collector) Snapshot() *Report {
 			sr.Occupancy = float64(sr.TotalNS) / float64(r.ElapsedNS)
 		}
 		r.Stages = append(r.Stages, sr)
-	}
-	for h := Hist(0); h < NumHists; h++ {
-		agg := &c.hists[h]
-		n := agg.count.Load()
-		if n == 0 {
-			continue
-		}
-		var buckets [bucketCount]int64
-		for i := range buckets {
-			buckets[i] = agg.buckets[i].Load()
-		}
-		hr := HistReport{
-			Name:  h.String(),
-			Count: n,
-			Sum:   agg.sumNS.Load(),
-			Min:   agg.minNS.Load(),
-			Max:   agg.maxNS.Load(),
-		}
-		hr.Mean = float64(hr.Sum) / float64(n)
-		// Same geometric-midpoint quantile and min/max clamp as stages.
-		for _, q := range []struct {
-			dst *int64
-			q   float64
-		}{{&hr.P50, 0.50}, {&hr.P95, 0.95}, {&hr.P99, 0.99}} {
-			*q.dst = clamp(quantile(buckets, n, q.q), hr.Min, hr.Max)
-		}
-		r.Hists = append(r.Hists, hr)
 	}
 	for g := Gauge(0); g < NumGauges; g++ {
 		if c.gauges[g].max.Load() == 0 && c.gauges[g].cur.Load() == 0 {
@@ -200,21 +158,8 @@ func (r *Report) Stage(name string) *StageReport {
 	return nil
 }
 
-// Hist returns the named value histogram's report, or nil.
-func (r *Report) Hist(name string) *HistReport {
-	if r == nil {
-		return nil
-	}
-	for i := range r.Hists {
-		if r.Hists[i].Name == name {
-			return &r.Hists[i]
-		}
-	}
-	return nil
-}
-
 // Table renders the report as an aligned text table: stages sorted by total
-// busy time, then value histograms, gauges and counters.
+// busy time, then gauges and counters.
 func (r *Report) Table() string {
 	if r == nil {
 		return "observability disabled\n"
@@ -229,15 +174,6 @@ func (r *Report) Table() string {
 		fmt.Fprintf(&b, "  %-14s %7d %10s %9s %9s %9s %9s %6.1f\n",
 			s.Name, s.Count, fmtDur(s.TotalNS), fmtDur(s.MeanNS),
 			fmtDur(s.P50NS), fmtDur(s.P95NS), fmtDur(s.P99NS), 100*s.Occupancy)
-	}
-	if len(r.Hists) > 0 {
-		fmt.Fprintf(&b, "value histograms:\n")
-		fmt.Fprintf(&b, "  %-18s %7s %7s %5s %5s %5s %5s %5s\n",
-			"hist", "count", "mean", "p50", "p95", "p99", "min", "max")
-		for _, h := range r.Hists {
-			fmt.Fprintf(&b, "  %-18s %7d %7.2f %5d %5d %5d %5d %5d\n",
-				h.Name, h.Count, h.Mean, h.P50, h.P95, h.P99, h.Min, h.Max)
-		}
 	}
 	if len(r.Gauges) > 0 {
 		fmt.Fprintf(&b, "queues / occupancy gauges (current, high-watermark):\n")

@@ -14,17 +14,14 @@
 //	StepSkip    shed: side info consumed, no mask produced
 //
 // The Controller picks a rung per frame from the instantaneous load — queue
-// depth over the worker budget plus batch occupancy — and the session's QoS
-// class (a free session degrades at a fraction of the pressure a premium
+// depth over the worker budget — and the session's QoS class (a free session degrades at a fraction of the pressure a premium
 // one tolerates). Selection is a pure function of (Load, Class), so the
 // same inputs always produce the same rung; determinism is part of the
 // contract and is pinned by tests.
 //
 // On top of the per-frame selection sits a small closed loop: an EWMA of
-// observed pressure drives two slower knobs — the spacing of frames
-// promoted to the full rung (stretched as load rises) and the effective
-// batch width handed to the batching engine (widened as load rises for
-// throughput, tightened as it falls for latency). Anchors (I/P frames) are
+// observed pressure drives one slower knob, the spacing of frames promoted
+// to the full rung (stretched as load rises). Anchors (I/P frames) are
 // never on the ladder: their segmentations are the references every later
 // frame depends on.
 package qos
@@ -100,21 +97,17 @@ type Load struct {
 	// Workers is the server's shared worker budget; queue depth is
 	// normalized by it so the same Config works across machine sizes.
 	Workers int
-	// Occupancy is the batching engine's fill fraction in [0, 1] (0 when
-	// there is no batcher).
-	Occupancy float64
 }
 
 // Pressure collapses the observation to one scalar: queued frames per
-// worker, plus the batch fill fraction. An idle server sits near 0; a
-// server with a full per-session queue is far above every default
-// threshold.
+// worker. An idle server sits near 0; a server with a full per-session
+// queue is far above every default threshold.
 func (l Load) Pressure() float64 {
 	w := l.Workers
 	if w < 1 {
 		w = 1
 	}
-	p := float64(l.QueueDepth)/float64(w) + l.Occupancy
+	p := float64(l.QueueDepth) / float64(w)
 	if p < 0 {
 		return 0
 	}
@@ -141,7 +134,7 @@ type Config struct {
 	// in (0, 1].
 	FreeBias float64
 	// Alpha is the EWMA smoothing factor of the closed loop (the slow
-	// knobs: promotion spacing, batch width). Default 0.2.
+	// knob: promotion spacing). Default 0.2.
 	Alpha float64
 }
 
@@ -167,7 +160,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Controller picks ladder rungs and runs the closed loop. Select is a pure
-// function; Observe feeds the EWMA the slow knobs read. All methods are
+// function; Observe feeds the EWMA the slow knob reads. All methods are
 // safe for concurrent use.
 type Controller struct {
 	cfg Config
@@ -218,33 +211,9 @@ func (c *Controller) Observe(l Load) {
 	}
 }
 
-// Pressure reports the smoothed (EWMA) pressure the slow knobs act on.
+// Pressure reports the smoothed (EWMA) pressure the slow knob acts on.
 func (c *Controller) Pressure() float64 {
 	return math.Float64frombits(c.ewma.Load())
-}
-
-// BatchWidth maps the smoothed pressure to an effective batch width in
-// [1, ceiling]: 1 when idle (flush immediately, minimum latency), the full
-// ceiling at and beyond the recon threshold (amortize everything,
-// throughput over latency), linear in between. A non-positive ceiling
-// reports 1.
-func (c *Controller) BatchWidth(ceiling int) int {
-	if ceiling < 1 {
-		return 1
-	}
-	ra := c.cfg.ReconAt
-	if ra <= 0 {
-		return ceiling
-	}
-	frac := c.Pressure() / ra
-	if frac > 1 {
-		frac = 1
-	}
-	w := 1 + int(math.Round(frac*float64(ceiling-1)))
-	if w > ceiling {
-		w = ceiling
-	}
-	return w
 }
 
 // ResegInterval is the closed loop's promotion spacing: a B-frame selected

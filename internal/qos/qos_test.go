@@ -12,10 +12,10 @@ func TestSelectDeterministic(t *testing.T) {
 	c := NewController(Config{})
 	loads := []Load{
 		{QueueDepth: 0, Workers: 4},
-		{QueueDepth: 3, Workers: 4, Occupancy: 0.25},
-		{QueueDepth: 20, Workers: 4, Occupancy: 1},
+		{QueueDepth: 3, Workers: 4},
+		{QueueDepth: 20, Workers: 4},
 		{QueueDepth: 100, Workers: 4},
-		{QueueDepth: 7, Workers: 1, Occupancy: 0.5},
+		{QueueDepth: 7, Workers: 1},
 	}
 	for _, l := range loads {
 		for _, cl := range []Class{ClassPremium, ClassFree} {
@@ -91,46 +91,34 @@ func TestForcedRungs(t *testing.T) {
 	}
 }
 
-// TestClosedLoopKnobs walks the EWMA up and down and checks both slow knobs
-// move the documented direction: batch width widens with load and tightens
-// as it falls; promotion spacing stretches with load and disappears.
+// TestClosedLoopKnobs walks the EWMA up and down and checks the slow knob
+// moves the documented direction: promotion spacing stretches with load,
+// disappears, and comes back as load falls.
 func TestClosedLoopKnobs(t *testing.T) {
 	c := NewController(Config{})
-	if w := c.BatchWidth(8); w != 1 {
-		t.Fatalf("idle batch width %d, want 1", w)
-	}
 	if iv := c.ResegInterval(); iv != 1 {
 		t.Fatalf("idle promotion interval %d, want 1", iv)
 	}
-	prevW, prevIv := 1, 1
+	prevIv := 1
 	for q := 0; q <= 64; q += 2 {
 		for i := 0; i < 50; i++ { // converge the EWMA to this level
 			c.Observe(Load{QueueDepth: q, Workers: 4})
 		}
-		w, iv := c.BatchWidth(8), c.ResegInterval()
-		if w < prevW {
-			t.Fatalf("queue %d: batch width narrowed %d -> %d under rising load", q, prevW, w)
-		}
+		iv := c.ResegInterval()
 		if iv != 0 && prevIv != 0 && iv < prevIv {
 			t.Fatalf("queue %d: promotion interval tightened %d -> %d under rising load", q, prevIv, iv)
 		}
 		if prevIv == 0 && iv != 0 {
 			t.Fatalf("queue %d: promotion re-enabled (%d) under rising load", q, iv)
 		}
-		prevW, prevIv = w, iv
-	}
-	if prevW != 8 {
-		t.Fatalf("saturated batch width %d, want ceiling 8", prevW)
+		prevIv = iv
 	}
 	if prevIv != 0 {
 		t.Fatalf("saturated promotion interval %d, want 0 (disabled)", prevIv)
 	}
-	// Load falls away: both knobs must relax back.
+	// Load falls away: the knob must relax back.
 	for i := 0; i < 200; i++ {
 		c.Observe(Load{QueueDepth: 0, Workers: 4})
-	}
-	if w := c.BatchWidth(8); w != 1 {
-		t.Fatalf("batch width %d after load fell, want 1", w)
 	}
 	if iv := c.ResegInterval(); iv != 1 {
 		t.Fatalf("promotion interval %d after load fell, want 1", iv)

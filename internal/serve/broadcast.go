@@ -36,7 +36,7 @@ type Viewer struct {
 }
 
 // OpenBroadcast admits a broadcast backed by one ordinary session; the
-// session draws on the same worker pool, batcher and content cache as every
+// session draws on the same worker pool and content cache as every
 // other, so a broadcast's anchors still seed the cache for non-broadcast
 // sessions serving the same bytes.
 func (srv *Server) OpenBroadcast() (*Broadcast, error) {

@@ -8,10 +8,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
-	"vrdann/internal/codec"
-	"vrdann/internal/contentcache"
+	"vrdann/internal/core"
 	"vrdann/internal/nn"
 	"vrdann/internal/obs"
 	"vrdann/internal/segment"
@@ -145,135 +143,65 @@ func TestCacheServedMasksBitIdentical(t *testing.T) {
 	}
 }
 
-// signalGateSegmenter closes entered on its first Segment call, then blocks
-// until the gate opens — it parks a worker inside an NN-L execution at a
-// point the test can observe.
-type signalGateSegmenter struct {
-	entered chan struct{}
-	gate    chan struct{}
-	once    sync.Once
-	inner   segment.Segmenter
-}
-
-func (g *signalGateSegmenter) Name() string { return g.inner.Name() }
-func (g *signalGateSegmenter) Segment(f *video.Frame, display int) *video.Mask {
-	g.once.Do(func() { close(g.entered) })
-	<-g.gate
-	return g.inner.Segment(f, display)
-}
-
-// TestForceCloseMirrorsQuantCounters pins the teardown counter fix: block
-// counters recorded by a step that then fails (here: a batched refine
-// retracted by a forced drain) must still reach the server-wide collector,
-// so /metrics totals equal the per-session sums even for force-closed
-// sessions. The open cache fill of the failed step must be abandoned, not
-// published.
+// TestForceCloseMirrorsQuantCounters pins the settle-time counter mirror:
+// block counters recorded by a step that then fails must still reach the
+// server-wide collector, so /metrics totals equal the per-session sums even
+// for chunks that failed mid-serve. The open cache fill of the failed step
+// must be abandoned, not published.
 //
-// Construction: session B parks a worker inside a gated NN-L so the
-// batcher's stall detection sees two busy workers; session A's anchors are
-// pre-filled into the content cache so its first dirty B-frame is the first
-// NN work it submits. That refine item (1 pending < 2 busy, 10s flush
-// timer) stays queued until the forced Close cancels it — after StepPrepare
-// recorded the frame's dirty/skipped counts.
+// Construction: the session's NN-L returns undersized anchor masks, so the
+// first dirty B-frame's NN-S panics — after StepPrepare counted that
+// frame's dirty and skipped blocks (threshold 1 keeps almost every block
+// dirty). The per-frame mirror runs only after a step succeeds, so only the
+// mirror in completeLocked can forward the failed step's counts.
 func TestForceCloseMirrorsQuantCounters(t *testing.T) {
 	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
-	vA, vB := contentVideo(0), contentVideo(1)
-	chunkA, chunkB := encodeTestVideo(t, vA), encodeTestVideo(t, vB)
+	v := contentVideo(0)
+	chunk := encodeTestVideo(t, v)
 
-	entered := make(chan struct{})
-	gate := make(chan struct{})
-	var opened int
 	col := obs.New()
 	srv, err := NewServer(Config{
-		MaxSessions: 2,
-		Workers:     2,
-		NewSegmenter: func(string) segment.Segmenter {
-			opened++
-			if opened == 1 {
-				return &signalGateSegmenter{entered: entered, gate: gate,
-					inner: segment.NewOracle("gate", vB.Masks, 0.05, 2, 7)}
-			}
-			return segment.NewOracle("target", vA.Masks, 0.05, 2, 7)
+		MaxSessions: 1,
+		Workers:     1,
+		NewSegmenter: func(id string) segment.Segmenter {
+			return &poisonSegmenter{inner: oracleFor(v)(id)}
 		},
 		NNS:           nns,
 		SkipResidual:  true,
 		SkipThreshold: 1,
-		MaxBatch:      2,
-		MaxBatchWait:  10 * time.Second,
 		CacheBytes:    64 << 20,
 		Obs:           col,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sB, err := srv.Open()
+	s, err := srv.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sB.Submit(context.Background(), chunkB); err != nil {
-		t.Fatal(err)
-	}
-	<-entered // worker 1 is now parked inside B's NN-L execution
-
-	sA, err := srv.Open()
+	ch, err := s.Submit(context.Background(), chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pre-fill A's anchor masks so its first pending NN work is a B-frame
-	// refine. The reference pipeline computes exactly the masks A's own
-	// oracle would (labels differ; oracle output does not depend on them).
-	digest := codec.ChunkDigest(chunkA)
-	for _, m := range serialReference(t, vA, chunkA, nns) {
-		if !m.Type.IsAnchor() {
-			continue
-		}
-		key := contentcache.Key{Content: digest, Display: m.Display, Model: sA.modelFP}
-		_, f, owner := srv.cache.Acquire(key)
-		if !owner {
-			t.Fatalf("pre-fill of display %d lost ownership", m.Display)
-		}
-		f.Commit(m.Mask)
+	_, err = ch.Wait(context.Background())
+	var ce *ChunkError
+	if !errors.As(err, &ce) || ce.Class != core.ClassInternal {
+		t.Fatalf("chunk resolved with %v, want an NN-S panic of class internal", err)
 	}
-	chA, err := sA.Submit(context.Background(), chunkA)
-	if err != nil {
+	s.Close()
+	if err := srv.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until A's StepPrepare has recorded residual-skip counters for a
-	// B-frame whose refine is now queued in the batcher (it cannot flush:
-	// 1 pending < 2 busy workers, and the timer is 10s out).
-	deadline := time.Now().Add(5 * time.Second)
-	for sA.Metrics().Counters[obs.CounterQuantBlocksDirty.String()] == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session A never recorded dirty-block counters")
-		}
-		time.Sleep(time.Millisecond)
-	}
 
-	// Forced drain: the canceled context retracts A's queued refine, so the
-	// step that recorded the counters fails.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	closed := make(chan error, 1)
-	go func() { closed <- srv.Close(ctx) }()
-	time.Sleep(20 * time.Millisecond)
-	close(gate) // release B; its remaining steps fail on the server context
-	if err := <-closed; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Close = %v, want context.Canceled", err)
-	}
-	if _, err := chA.Wait(context.Background()); err == nil {
-		t.Fatal("session A's chunk served despite forced drain")
-	}
-
-	// The fix under test: server-wide totals equal the per-session sums even
-	// though A's last counted step never completed.
-	snap := col.Snapshot()
+	// The fix under test: server-wide totals equal the session's own even
+	// though its last counted step never completed.
+	snap, own := col.Snapshot(), s.Metrics()
 	for _, ctr := range []obs.Counter{obs.CounterQuantBlocksDirty, obs.CounterQuantBlocksSkipped, obs.CounterQuantBlocksUnknown} {
-		sum := sA.Metrics().Counters[ctr.String()] + sB.Metrics().Counters[ctr.String()]
-		if got := snap.Counters[ctr.String()]; got != sum {
-			t.Fatalf("%s: server total %d != per-session sum %d", ctr.String(), got, sum)
+		if got, want := snap.Counters[ctr.String()], own.Counters[ctr.String()]; got != want {
+			t.Fatalf("%s: server total %d != session count %d", ctr.String(), got, want)
 		}
 	}
-	if sA.Metrics().Counters[obs.CounterQuantBlocksDirty.String()] == 0 {
+	if own.Counters[obs.CounterQuantBlocksDirty.String()] == 0 {
 		t.Fatal("scenario failed to record any dirty blocks")
 	}
 	// The failed step's open fill was invalidated, not published.

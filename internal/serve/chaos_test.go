@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"vrdann/internal/core"
 	"vrdann/internal/fault"
 	"vrdann/internal/fault/chaos"
+	"vrdann/internal/nn"
 	"vrdann/internal/obs"
 	"vrdann/internal/segment"
 	"vrdann/internal/serve"
@@ -40,8 +42,23 @@ func chaosVideo(frames int) *video.Video {
 // headers, splices), under -race via the Makefile chaos-smoke target.
 // Healthy sessions must stay bit-identical to a clean serial run, poisoned
 // sessions must resync or close with a classified error, nothing may hang,
-// and the run must leak no goroutines.
+// and the run must leak no goroutines. The nns leg serves with NN-S
+// refinement on, so poisoned sessions' refinements share the worker pool
+// with the healthy sessions they must not disturb.
 func TestChaosSoak(t *testing.T) {
+	for _, leg := range []struct {
+		name string
+		nns  *nn.RefineNet
+	}{
+		{"no-nns", nil},
+		{"nns", nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)},
+	} {
+		t.Run(leg.name, func(t *testing.T) { chaosSoak(t, leg.nns) })
+	}
+}
+
+// chaosSoak is one leg of TestChaosSoak; a nil nns serves without NN-S.
+func chaosSoak(t *testing.T, nns *nn.RefineNet) {
 	v := chaosVideo(18)
 	st, err := codec.Encode(v, codec.DefaultConfig())
 	if err != nil {
@@ -52,7 +69,8 @@ func TestChaosSoak(t *testing.T) {
 	// The clean serial run is the gold standard every healthy chunk must
 	// reproduce exactly.
 	sp := &core.StreamingPipeline{
-		NNL: segment.NewOracle("ref", v.Masks, 0.05, 2, 7), Workers: 1,
+		NNL: segment.NewOracle("ref", v.Masks, 0.05, 2, 7),
+		NNS: nns, Refine: nns != nil, Workers: 1,
 	}
 	var ref []core.MaskOut
 	if err := sp.Run(chunk, core.DisplayOrder(func(m core.MaskOut) error {
@@ -75,6 +93,7 @@ func TestChaosSoak(t *testing.T) {
 		NewSegmenter: func(id string) segment.Segmenter {
 			return segment.NewOracle(id, v.Masks, 0.05, 2, 7)
 		},
+		NNS:              nns,
 		Obs:              serverObs,
 		BreakerThreshold: 2,
 		BreakerBackoff:   5 * time.Millisecond,

@@ -178,12 +178,10 @@ func TestOverloadDegradesGracefully(t *testing.T) {
 				return &slowSegmenter{d: 4 * time.Millisecond,
 					inner: segment.NewOracle(id, v.Masks, 0.05, 2, 7)}
 			},
-			NNS:          nns,
-			Policy:       Wait,
-			MaxBatch:     4,
-			MaxBatchWait: 5 * time.Millisecond,
-			QoS:          &qos.Config{FullBelow: -1, ReconAt: 30, SkipAt: 60, Alpha: 0.3},
-			Obs:          col,
+			NNS:    nns,
+			Policy: Wait,
+			QoS:    &qos.Config{FullBelow: -1, ReconAt: 30, SkipAt: 60, Alpha: 0.3},
+			Obs:    col,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -254,151 +252,69 @@ func TestOverloadDegradesGracefully(t *testing.T) {
 	}
 }
 
-// TestDeadlineRetractionAtBatchDequeue pins satellite 1: a batched B-frame
-// refinement whose chunk deadline expires while the item is still queued is
-// retracted to the next-cheaper rung (the raw MV reconstruction) instead of
-// computing stale NN work, counted on qos/deadline-overruns — and the
-// degraded mask must NOT be committed to the content cache, or every later
-// viewer of the content would be served it.
-//
-// Choreography (after TestForceCloseMirrorsQuantCounters): session B parks
-// one of the two workers inside a gated NN-L execution; session A's anchors
-// are pre-filled into the content cache so its first batch item is a B-frame
-// refine. That item cannot flush — 1 pending < 2 busy workers, width 2, and
-// the timer is 10s out — so it ages in the queue until the 600ms frame
-// budget retracts it.
-func TestDeadlineRetractionAtBatchDequeue(t *testing.T) {
+// TestDegradedFramesNeverFillCache pins the cache's quality rule: the
+// content cache is keyed on the full-quality configuration, so a B-frame
+// the ladder degraded must neither be served from it nor publish its cheap
+// mask to it — a degraded entry would be served to every later viewer of
+// the content. With every B-frame forced to the recon rung, only the
+// anchors are looked up, filled and committed, and no B-frame key is left
+// resident or with an open fill.
+func TestDegradedFramesNeverFillCache(t *testing.T) {
 	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
-	vA, vB := contentVideo(0), contentVideo(1)
-	chunkA, chunkB := encodeTestVideo(t, vA), encodeTestVideo(t, vB)
-	ref := serialReference(t, vA, chunkA, nns)
-
-	entered := make(chan struct{})
-	gate := make(chan struct{})
-	var opened int
+	v := contentVideo(0)
+	chunk := encodeTestVideo(t, v)
 	col := obs.New()
 	srv, err := NewServer(Config{
-		MaxSessions: 3,
-		Workers:     2,
-		NewSegmenter: func(string) segment.Segmenter {
-			opened++
-			if opened == 1 {
-				return &signalGateSegmenter{entered: entered, gate: gate,
-					inner: segment.NewOracle("gate", vB.Masks, 0.05, 2, 7)}
-			}
-			return segment.NewOracle("target", vA.Masks, 0.05, 2, 7)
-		},
+		MaxSessions:  1,
+		Workers:      1,
+		NewSegmenter: oracleFor(v),
 		NNS:          nns,
-		FrameBudget:  600 * time.Millisecond,
-		MaxBatch:     2,
-		MaxBatchWait: 10 * time.Second,
 		CacheBytes:   64 << 20,
+		QoS:          &qos.Config{FullBelow: -1, ReconAt: -1, SkipAt: 1e9},
 		Obs:          col,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sB, err := srv.Open()
+	s, err := srv.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	chB, err := sB.Submit(context.Background(), chunkB)
+	ch, err := s.Submit(context.Background(), chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-entered // worker 1 is parked inside B's NN-L execution
-
-	sA, err := srv.Open()
+	res, err := ch.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := codec.ChunkDigest(chunkA)
-	for _, m := range ref {
-		if !m.Type.IsAnchor() {
+	snap := col.Snapshot() // before the probes below add lookups of their own
+	anchors := 0
+	for _, r := range res {
+		if r.Type.IsAnchor() {
+			anchors++
 			continue
 		}
-		key := contentcache.Key{Content: digest, Display: m.Display, Model: sA.modelFP}
+		if r.Step != qos.StepRecon || r.Mask == nil {
+			t.Fatalf("B-frame %d served on %v (mask %t), want a recon mask", r.Display, r.Step, r.Mask != nil)
+		}
+		key := contentcache.Key{Content: codec.ChunkDigest(chunk), Display: r.Display, Model: s.modelFP}
+		if srv.cache.Contains(key) {
+			t.Fatalf("degraded B-frame %d was published to the cache", r.Display)
+		}
 		_, f, owner := srv.cache.Acquire(key)
 		if !owner {
-			t.Fatalf("pre-fill of display %d lost ownership", m.Display)
+			t.Fatalf("degraded B-frame %d left a fill open", r.Display)
 		}
-		f.Commit(m.Mask)
+		f.Abandon()
 	}
-	chA, err := sA.Submit(context.Background(), chunkA)
-	if err != nil {
-		t.Fatal(err)
+	if got := srv.cache.Len(); got != anchors {
+		t.Fatalf("cache holds %d entries, want the %d anchors", got, anchors)
 	}
-	resA, err := chA.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if got := snap.Counters[obs.CounterCacheMisses.String()] + snap.Counters[obs.CounterCacheHits.String()]; got != int64(anchors) {
+		t.Fatalf("cache lookups = %d, want one per anchor (%d)", got, anchors)
 	}
-
-	retracted := 0
-	for _, r := range resA {
-		switch {
-		case r.Type.IsAnchor():
-			if r.Step != qos.StepFull || r.Mask == nil {
-				t.Fatalf("anchor %d: step %v mask %v", r.Display, r.Step, r.Mask != nil)
-			}
-		case r.Step == qos.StepRecon:
-			retracted++
-			if r.Mask == nil || r.Dropped {
-				t.Fatalf("retracted frame %d has no reconstruction mask", r.Display)
-			}
-		default:
-			if r.Step != qos.StepSkip || !r.Dropped {
-				t.Fatalf("B-frame %d: step %v dropped=%v, want budget shed", r.Display, r.Step, r.Dropped)
-			}
-		}
-	}
-	if retracted != 1 {
-		t.Fatalf("retracted frames = %d, want exactly 1 (only one refine was queued)", retracted)
-	}
-	snap := col.Snapshot()
-	if got := snap.Counters[obs.CounterQoSDeadlineOverruns.String()]; got != 1 {
-		t.Fatalf("qos/deadline-overruns = %d, want 1", got)
-	}
-	if snap.Counters[obs.CounterCacheFillAborts.String()] == 0 {
-		t.Fatal("retracted refine's cache fill was not abandoned")
-	}
-
-	close(gate)
-	if _, err := chB.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	sB.Close()
-	sA.Close()
-
-	// No poisoning: a fresh session serving the same content must get the
-	// full-quality pipeline bit-for-bit — the retracted frame's recon mask
-	// must not have been published under the full-quality cache key.
-	sC, err := srv.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chC, err := sC.Submit(context.Background(), chunkA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resC, err := chC.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resC) != len(ref) {
-		t.Fatalf("session C served %d frames, want %d", len(resC), len(ref))
-	}
-	for i, r := range resC {
-		w := ref[i]
-		if r.Display != w.Display || r.Dropped || r.Mask == nil {
-			t.Fatalf("session C frame %d: display %d dropped=%v", i, r.Display, r.Dropped)
-		}
-		if r.Type == codec.BFrame && r.Step != qos.StepRefine {
-			t.Fatalf("session C B-frame %d served on %v, want refine", r.Display, r.Step)
-		}
-		if !bytes.Equal(r.Mask.Pix, w.Mask.Pix) {
-			t.Fatalf("session C frame %d diverges from serial reference: cache was poisoned", r.Display)
-		}
-	}
+	s.Close()
 	if err := srv.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -467,6 +383,11 @@ func TestAbandonedFillReoffered(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-entered // owner holds the display-0 fill, parked inside NN-L
+	lookups := func() int64 {
+		snap := col.Snapshot()
+		return snap.Counters[obs.CounterCacheHits.String()] + snap.Counters[obs.CounterCacheMisses.String()]
+	}
+	before := lookups() // the owner's one miss so far
 
 	const waiters = 3
 	tickets := make([]*Chunk, waiters)
@@ -482,11 +403,11 @@ func TestAbandonedFillReoffered(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.cacheWaiters.Load() != waiters {
+	for fillWaiters(col) != waiters {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			n := runtime.Stack(buf, true)
-			t.Fatalf("cache waiters = %d, want %d\n%s", srv.cacheWaiters.Load(), waiters, buf[:n])
+			t.Fatalf("cache waiters = %d, want %d\n%s", fillWaiters(col), waiters, buf[:n])
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -508,6 +429,11 @@ func TestAbandonedFillReoffered(t *testing.T) {
 				t.Fatalf("waiter %d frame %d diverges from serial reference", i, j)
 			}
 		}
+	}
+	// Each waiter frame is one lookup and must record exactly one outcome:
+	// the abandoned wait and its re-offer are the same lookup.
+	if got, want := lookups()-before, int64(waiters*len(ref)); got != want {
+		t.Fatalf("waiters recorded %d cache hits+misses, want one per lookup (%d)", got, want)
 	}
 	owner.Close()
 	for _, s := range sessions {
@@ -541,4 +467,15 @@ func TestAbandonedFillReoffered(t *testing.T) {
 	if err := srv.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fillWaiters reads the cache-waiters gauge: lookups currently blocked on
+// another session's fill.
+func fillWaiters(col *obs.Collector) int64 {
+	for _, g := range col.Snapshot().Gauges {
+		if g.Name == obs.GaugeCacheWaiters.String() {
+			return g.Current
+		}
+	}
+	return 0
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -117,7 +115,6 @@ func (s *Session) serveOneFrame(cur *Chunk) (finished bool, err error) {
 			// adapted weights never mix with another weight set's entries.
 			if p, ok := s.adapter.TakePromoted(); ok {
 				s.pipe.SetRefineNet(p.Net, p.Quant)
-				s.adaptVersion = p.Version
 				if s.srv.cache != nil {
 					s.modelFP = contentcache.AdaptedFingerprint(s.baseFP, s.ID, p.Version)
 				}
@@ -131,11 +128,9 @@ func (s *Session) serveOneFrame(cur *Chunk) (finished bool, err error) {
 		return false, err
 	}
 	if pending != nil {
-		mask, nerr := s.execPending(cur, pending)
-		if nerr != nil {
-			return false, nerr
-		}
-		mo = pending.Finish(mask)
+		// NN work runs inline on this worker with the session's own models;
+		// the shared pool is the only parallelism.
+		mo = pending.Finish(pending.ExecuteLocal())
 	}
 	if mo == nil {
 		// Exhausted with fewer delivered frames than the header promised
@@ -158,13 +153,10 @@ func (s *Session) serveOneFrame(cur *Chunk) (finished bool, err error) {
 	cur.results = append(cur.results, r)
 	if s.fill != nil {
 		// The step completed cleanly: publish the mask this session owed the
-		// content cache. Entries are only ever inserted from this path, so a
-		// cached mask is always one a session finished computing — at full
-		// quality. A B-frame that claimed its fill on the refinement rung but
-		// was deadline-retracted to a cheaper one must abandon instead: the
-		// cache is keyed on the full-quality configuration, and a degraded
-		// mask served from it would poison every later viewer.
-		if mo.Mask != nil && (mo.Type != codec.BFrame || s.lastStep == qos.StepRefine) {
+		// content cache. Entries are only ever inserted from this path, and
+		// core consults the cache only on the canonical rung, so a cached
+		// mask is always one a session finished computing — at full quality.
+		if mo.Mask != nil {
 			s.fill.Commit(mo.Mask)
 		} else {
 			s.fill.Abandon()
@@ -199,10 +191,9 @@ func (s *Session) serveOneFrame(cur *Chunk) (finished bool, err error) {
 // inside the budget, shed past it — so a server with QoS disabled serves
 // bit-identical to one that predates the ladder. With a controller it asks
 // for a rung per frame, applies the closed loop's promotion spacing to
-// full-rung selections, retunes the batcher width, and records the decision
-// on the per-ladder-step counters. Only the worker holding s.running runs
-// the returned closure (from inside StepPrepare), so s.lastStep needs no
-// lock.
+// full-rung selections, and records the decision on the per-ladder-step
+// counters. Only the worker holding s.running runs the returned closure
+// (from inside StepPrepare), so s.lastStep needs no lock.
 func (s *Session) stepSelector(cur *Chunk) core.StepSelector {
 	budget := s.srv.cfg.FrameBudget
 	ctl := s.srv.qosCtl
@@ -232,13 +223,7 @@ func (s *Session) stepSelector(cur *Chunk) core.StepSelector {
 				step = qos.StepRefine
 			}
 		}
-		srv := s.srv
-		srv.cfg.Obs.GaugeSet(obs.GaugeQoSPressure, int64(ctl.Pressure()*1000))
-		if b := srv.batcher; b != nil {
-			w := ctl.BatchWidth(srv.cfg.MaxBatch)
-			b.SetMaxBatch(w)
-			srv.cfg.Obs.GaugeSet(obs.GaugeQoSBatchWidth, int64(w))
-		}
+		s.srv.cfg.Obs.GaugeSet(obs.GaugeQoSPressure, int64(ctl.Pressure()*1000))
 		return s.countStep(step)
 	}
 }
@@ -271,51 +256,21 @@ func stepCounter(step qos.Step) obs.Counter {
 // returned directly (served without NN work); a miss either claims the
 // single-flight fill — remembered in s.fill and resolved by serveOneFrame
 // when the step settles — or, when another session is already computing the
-// same key, waits for that fill rather than duplicating the work. Waiters
-// are discounted from the batcher's stall detection (srv.cacheWaiters):
-// they hold a worker but cannot enqueue batch items, and the fill they wait
-// on may be the very batch item the stall callback is deciding about. Only
-// the worker holding s.running calls this (from inside StepPrepare), so
-// s.cur and s.fill need no lock.
+// same key, waits for that fill rather than duplicating the work. A wait on
+// a fill whose owner failed ends in the cache's one-shot re-offer, which may
+// hand this session the new fill. Only the worker holding s.running calls
+// this (from inside StepPrepare), so s.cur and s.fill need no lock.
 func (s *Session) cachedMask(display int, _ codec.FrameType) *video.Mask {
-	srv := s.srv
 	key := contentcache.Key{Content: s.cur.digest, Display: display, Model: s.modelFP}
-	m, f, owner := srv.cache.Acquire(key)
+	m, f, owner := s.srv.cache.Acquire(key)
+	if m == nil && !owner {
+		m, f = f.Wait(s.srv.ctx)
+	}
 	if m != nil {
 		s.obs.Count(obs.CounterCacheHits, 1)
 		return m
 	}
-	if owner {
-		s.fill = f
-		return nil
-	}
-	srv.cacheWaiters.Add(1)
-	m, ok := f.Wait(srv.ctx)
-	srv.cacheWaiters.Add(-1)
-	if ok {
-		s.obs.Count(obs.CounterCacheHits, 1)
-		return m
-	}
-	if srv.ctx.Err() != nil {
-		// Server stopping: compute locally, nothing to re-offer.
-		return nil
-	}
-	// The fill was abandoned — its owner's step failed (quarantine, panic)
-	// before publishing. Without a re-offer the key would stay a permanent
-	// miss: every later viewer of this content would find neither an entry
-	// nor an in-flight fill to join. Re-acquire exactly once: either this
-	// session claims the new fill (serveOneFrame resolves it when the step
-	// settles, so later viewers hit) or another waiter beat it to the claim
-	// and this frame computes locally. Never a second Wait — a one-shot
-	// claim-or-compute can't loop however many owners die.
-	m, f, owner = srv.cache.Acquire(key)
-	if m != nil {
-		s.obs.Count(obs.CounterCacheHits, 1)
-		return m
-	}
-	if owner {
-		s.fill = f
-	}
+	s.fill = f
 	return nil
 }
 
@@ -342,46 +297,4 @@ func (s *Session) mirrorQuantCounters() {
 		s.srv.cfg.Obs.Count(obs.CounterQuantBlocksUnknown, v-s.quantUnknown)
 		s.quantUnknown = v
 	}
-}
-
-// execPending computes a step's NN mask. NN-L work (anchors, and B-frames
-// the ladder promoted to the full rung) runs inline with the session's own
-// segmenter: no Segmenter fuses frames, so a cross-session queue would have
-// nothing to share. NN-S refinement goes through the shared batcher when
-// one is configured, on the server context so a forced drain wakes workers
-// blocked in a batch; a batcher error fails only this session's step. The
-// session's refine span is recorded either way (batched spans include queue
-// wait), so per-session latency reports stay comparable across modes.
-//
-// Batched work carries the chunk's deadline: StepPrepare's budget check ran
-// before the item queued, and a partial batch can hold it well past
-// FrameBudget. An item that ages out while queued is retracted to the
-// ladder's next-cheaper rung — the raw MV reconstruction — instead of
-// computing stale NN work, and counted on qos/deadline-overruns.
-func (s *Session) execPending(cur *Chunk, pn *core.PendingNN) (*video.Mask, error) {
-	b := s.srv.batcher
-	if b == nil || pn.IsAnchor() || s.adaptVersion > 0 {
-		// Sessions serving promoted weights bypass the batcher too: it runs one
-		// shared base-weight network, which would silently serve this session
-		// the un-adapted model. Before the first promotion the clone's weights
-		// equal the base, so fused batching stays bit-identical.
-		return pn.ExecuteLocal(), nil
-	}
-	ctx := s.srv.ctx
-	if budget := s.srv.cfg.FrameBudget; budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, cur.arrived.Add(budget))
-		defer cancel()
-	}
-	t := s.obs.Clock()
-	prev, rec, next := pn.RefineInputs()
-	m, err := b.Refine(ctx, prev, rec, next)
-	s.obs.Span(obs.StageRefine, pn.Display(), byte(pn.FrameType()), t)
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && s.srv.ctx.Err() == nil {
-		s.obs.Count(obs.CounterQoSDeadlineOverruns, 1)
-		s.srv.cfg.Obs.Count(obs.CounterQoSDeadlineOverruns, 1)
-		s.lastStep = qos.StepRecon
-		return pn.FallbackMask(), nil
-	}
-	return m, err
 }

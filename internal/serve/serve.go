@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"vrdann/internal/adapt"
-	"vrdann/internal/batch"
 	"vrdann/internal/contentcache"
 	"vrdann/internal/core"
 	"vrdann/internal/nn"
@@ -133,17 +132,11 @@ type Config struct {
 	// MaxChunkBytes bounds one HTTP-posted chunk body; oversized posts get
 	// 413. A DoS guard, not a protocol limit. Default 64 MiB.
 	MaxChunkBytes int64
-	// MaxBatch enables the cross-session dynamic batching engine: NN-S
-	// refinement work from all sessions is coalesced into fused forwards of
-	// up to MaxBatch items (NN-L always runs on the session's own worker).
-	// Values <= 1, or no NNS/QuantNNS, keep the unbatched per-session path
-	// (the default). Otherwise a Workers left at its default is raised to at
-	// least MaxBatch — a batch can only fill if that many workers can block
-	// in it at once — and an explicit Workers caps MaxBatch instead.
+	// MaxBatch is ignored: every session refines on its own worker.
+	//
+	// Deprecated: ignored. Kept only because bench/fleet.go, the frozen
+	// benchmark driver, still sets it.
 	MaxBatch int
-	// MaxBatchWait bounds how long a partial batch waits for batch-mates
-	// before flushing (tail-latency bound at low concurrency). Default 2ms.
-	MaxBatchWait time.Duration
 	// CacheBytes enables the shared content-addressed mask cache with this
 	// byte budget: masks computed by the first session on a piece of content
 	// are served to every later session submitting bit-identical chunks, so
@@ -159,11 +152,11 @@ type Config struct {
 	// fingerprint covers segmenter names and skip config, not weights).
 	Cache *contentcache.Cache
 	// QoS, when non-nil, enables the adaptive degradation ladder
-	// (internal/qos): each B-frame is served on a rung chosen from queue
-	// depth, batch occupancy and the session's class, and a closed loop
-	// stretches full-rung promotion spacing and widens the effective batch
-	// width as load rises. Nil keeps the pre-ladder policy — binary
-	// FrameBudget shedding only, bit-identical serving.
+	// (internal/qos): each B-frame is served on a rung chosen from queued
+	// frames per worker and the session's class, and a closed loop
+	// stretches full-rung promotion spacing as load rises. Nil keeps the
+	// pre-ladder policy — binary FrameBudget shedding only, bit-identical
+	// serving.
 	QoS *qos.Config
 	// Adapt, when non-nil (and NNS is set), enables the online per-stream
 	// adaptation tier (internal/adapt): every session gets a background
@@ -186,14 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = par.EffectiveWorkers(runtime.GOMAXPROCS(0))
-		// Workers blocked in an NN-S batch cost no CPU; without this floor every
-		// flush on a small machine would be a timer flush of a partial batch.
-		if c.MaxBatch > c.Workers && (c.NNS != nil || c.QuantNNS != nil) {
-			c.Workers = c.MaxBatch
-		}
-	}
-	if c.MaxBatch > c.Workers {
-		c.MaxBatch = c.Workers
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3
@@ -221,16 +206,9 @@ type Server struct {
 	// plus the one-entry-per-session invariant (Session.queued) makes every
 	// send non-blocking under srv.mu.
 	runq chan *Session
-	// batcher, when non-nil, is the shared cross-session dynamic batching
-	// engine NN-S refinement is routed through (cfg.MaxBatch > 1, NN-S on).
-	batcher *batch.Engine
 	// cache, when non-nil, is the shared content-addressed mask cache
 	// (cfg.Cache, or built from cfg.CacheBytes).
 	cache *contentcache.Cache
-	// cacheWaiters counts workers blocked in a cache fill wait. They hold a
-	// session's running flag but cannot produce batch items, so the
-	// batcher's stall detection must discount them.
-	cacheWaiters atomic.Int64
 	// qosCtl, when non-nil, is the QoS ladder controller (cfg.QoS).
 	qosCtl *qos.Controller
 	// pendingFrames tracks frames admitted but not yet resolved across all
@@ -281,40 +259,6 @@ func NewServer(cfg Config) (*Server, error) {
 		// tier calibrates the base model on, so the only variable across a
 		// promotion is the weights themselves.
 		srv.adaptCalib = adapt.SandwichCalibration(64, 48, 4, 1)
-	}
-	if cfg.MaxBatch > 1 && (cfg.NNS != nil || cfg.QuantNNS != nil) {
-		srv.batcher = batch.New(batch.Config{
-			MaxBatch: cfg.MaxBatch,
-			MaxWait:  cfg.MaxBatchWait,
-			// A private clone of the tier the sessions serve (the same choice
-			// their engines make): a fused lane must equal the session's own
-			// forward bit for bit.
-			Refiner: (&core.StreamingPipeline{NNS: cfg.NNS, Quant: cfg.QuantNNS, Refine: true}).NewRefiner(),
-			Obs:     cfg.Obs,
-			// Producer-stall detection: every queued batch item is a worker
-			// blocked in the engine. When all busy workers are blocked and no
-			// session is waiting for a worker, no further item can arrive —
-			// flush now instead of idling out MaxWait. Races only flush a
-			// batch early; the deadline timer remains the backstop.
-			Stalled: func(pending int) bool {
-				if len(srv.runq) > 0 {
-					return false
-				}
-				srv.mu.Lock()
-				busy := 0
-				for _, s := range srv.sessions {
-					if s.running {
-						busy++
-					}
-				}
-				srv.mu.Unlock()
-				// Workers blocked waiting on a cache fill are busy but cannot
-				// enqueue batch items until the filler's step (which may be
-				// the batch item we are deciding about) completes.
-				busy -= int(srv.cacheWaiters.Load())
-				return pending >= busy && len(srv.runq) == 0
-			},
-		})
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		srv.wg.Add(1)
@@ -475,22 +419,17 @@ func (srv *Server) Load() LoadInfo {
 
 // trainerIdle is the adaptation tier's idleness gate: true only when no
 // frame is admitted-but-unresolved anywhere and no session is waiting for a
-// worker — the same signals the batcher's Stalled hook reads. Trainers
-// re-check it before every fine-tune step, so serving work arriving
-// mid-burst stops training at the next step boundary.
+// worker. Trainers re-check it before every fine-tune step, so serving work
+// arriving mid-burst stops training at the next step boundary.
 func (srv *Server) trainerIdle() bool {
 	return srv.pendingFrames.Load() == 0 && len(srv.runq) == 0
 }
 
 // qosLoad snapshots the ladder's load inputs lock-free: server-wide queue
-// depth normalized by the worker budget, plus the batcher's fill fraction.
-// Read on every B-frame, so it must stay cheap.
+// depth and the worker budget it is normalized by. Read on every B-frame,
+// so it must stay cheap.
 func (srv *Server) qosLoad() qos.Load {
-	l := qos.Load{QueueDepth: int(srv.pendingFrames.Load()), Workers: srv.cfg.Workers}
-	if srv.batcher != nil {
-		l.Occupancy = srv.batcher.Occupancy()
-	}
-	return l
+	return qos.Load{QueueDepth: int(srv.pendingFrames.Load()), Workers: srv.cfg.Workers}
 }
 
 // Quiesce puts the server in scale-down drain: Open returns ErrServerClosed
@@ -547,11 +486,6 @@ func (srv *Server) Close(ctx context.Context) error {
 	// closing the run queue releases the workers.
 	close(srv.runq)
 	srv.wg.Wait()
-	if srv.batcher != nil {
-		// All workers have exited, so nothing can submit: this only flushes
-		// stragglers and fences off the engine.
-		srv.batcher.Close()
-	}
 	srv.cancel()
 	return ctx.Err()
 }

@@ -189,7 +189,8 @@ func TestServerMultiStream(t *testing.T) {
 // TestServedMasksBitIdenticalToSerial pins the core serving invariant
 // directly: frames served through the shared scheduler under concurrent
 // load equal a standalone serial run byte-for-byte, on both the first
-// chunk (fresh decoder) and the second (Reset path).
+// chunk (fresh decoder) and the second (Reset path). The deprecated
+// MaxBatch is set to show it is inert: the pool keeps its default size.
 func TestServedMasksBitIdenticalToSerial(t *testing.T) {
 	v := makeTestVideo(18, 1.5)
 	chunk := encodeTestVideo(t, v)
@@ -198,12 +199,15 @@ func TestServedMasksBitIdenticalToSerial(t *testing.T) {
 
 	srv, err := NewServer(Config{
 		MaxSessions:  8,
-		Workers:      4,
+		MaxBatch:     4,
 		NewSegmenter: oracleFor(v),
 		NNS:          nns,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := srv.Load().Workers, (Config{}).withDefaults().Workers; got != want {
+		t.Fatalf("MaxBatch moved Workers to %d, want the default %d", got, want)
 	}
 	results := make(map[int][][]FrameResult) // stream -> chunk results
 	var mu sync.Mutex

@@ -129,11 +129,8 @@ type Session struct {
 	fill *contentcache.Fill
 	// lastStep is the ladder rung chosen for the frame currently being
 	// stepped (StepFull for anchors; overwritten by the selector for
-	// B-frames and by a deadline retraction).
+	// B-frames).
 	lastStep qos.Step
-	// adaptVersion is the adapted-weights version currently serving (0 =
-	// base weights; incremented at each promotion or rollback pickup).
-	adaptVersion uint64
 	// lastAnchor is the most recent anchor mask served, the reference the
 	// drift monitor scores refined B-frames against.
 	lastAnchor *video.Mask

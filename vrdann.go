@@ -134,7 +134,7 @@ type (
 func WithWorkers(n int) PipelineOption { return core.WithWorkers(n) }
 
 // Quantized execution tier: NN-S compiled to the arithmetic the modeled
-// NPU executes, plus residual-driven sparsity (DESIGN.md §12).
+// NPU executes, plus residual-driven sparsity (DESIGN.md §11).
 type (
 	// QuantRefineNet is NN-S compiled to the int8 execution tier:
 	// per-channel weight scales, int8 im2col, int8×int8→int32 GEMM and
@@ -242,16 +242,15 @@ const (
 	OverflowWait = serve.Wait
 )
 
-// NewServer starts a multi-stream serving layer and its worker pool. Set
-// ServeConfig.MaxBatch > 1 (with an NN-S configured) to fuse NN-S
-// refinement across sessions in a shared dynamic batcher; masks stay
-// bit-identical to unbatched runs.
+// NewServer starts a multi-stream serving layer and its worker pool. Each
+// session's frames, NN-S refinement included, run on whichever pool worker
+// holds the session, so served masks are bit-identical to a standalone run.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.NewServer(cfg) }
 
 // Content-addressed mask sharing: sessions serving bit-identical chunks
 // under the same model configuration share NN-L/NN-S results through one
 // cache, and a broadcast fans one session's decode to many viewers
-// (DESIGN.md §13).
+// (DESIGN.md §12).
 type (
 	// ContentCache is the shared content-addressed mask cache; a Server
 	// with ServeConfig.CacheBytes > 0 constructs one internally, or pass a
@@ -285,7 +284,7 @@ func ModelFingerprint(parts ...string) uint64 { return contentcache.Fingerprint(
 
 // Sharded multi-node serving: a gateway consistent-hashes stream sessions
 // across a fleet of vrserve backends and live-migrates them on failure,
-// breaker trips and scale events (DESIGN.md §14).
+// breaker trips and scale events (DESIGN.md §13).
 type (
 	// Gateway fronts N serving backends behind the single-node session
 	// HTTP surface; cmd/vrgate is its command-line wrapper.
@@ -308,7 +307,7 @@ type (
 // Online per-stream adaptation: each session fine-tunes a private clone of
 // NN-S on pseudo-labels harvested from its own NN-L anchor segmentations,
 // strictly in serving idle gaps, promoting weights only when they beat the
-// serving set and rolling back on drift regression (DESIGN.md §16).
+// serving set and rolling back on drift regression (DESIGN.md §15).
 type (
 	// Adapter is one session's online-adaptation state: the pseudo-label
 	// ring, background trainer, promotion mailbox and rolling drift monitor.
